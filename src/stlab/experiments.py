@@ -29,8 +29,8 @@ from .param_sets import (
     sieve_arith,
     subgroup,
 )
-from .sato_tate import Interval, mu_st
-from .traces import batch_traces, residue_traces
+from .sato_tate import Interval, chebyshev_U, mu_st, sym_terms
+from .traces import batch_traces, residue_angles, residue_traces
 
 PRIME2_NOTE = "bracket omits the L^(c/log log L) factor; c is not effective"
 
@@ -128,19 +128,9 @@ def _require_nondeg_global(fam: FamilyPoly):
         raise NondegeneracyError(f"family degenerate over Q: {chk.reason}")
 
 
-def _angles_for_elements(fam: FamilyPoly, p: int, elements, tbl=None):
-    """Per-element (psi, good) arrays; elements may repeat."""
-    elements = list(elements)
-    distinct = sorted({w % p for w in elements})
-    a_vec, good_vec = residue_traces(fam, p, distinct, tbl)
-    z = a_vec / (2.0 * math.sqrt(p))
-    psi_of = {}
-    for i, w in enumerate(distinct):
-        if good_vec[i]:
-            psi_of[w] = math.acos(z[i])
-    psis = np.array([psi_of.get(w % p, np.nan) for w in elements])
-    good = ~np.isnan(psis)
-    return psis, good
+def _require_degree(n: int):
+    if n < 1:
+        raise ValueError(f"sym degree n must be >= 1, got {n}")
 
 
 def _count_interval(psis, good, iv: Interval, weights=None) -> tuple[int, int]:
@@ -152,7 +142,7 @@ def _count_interval(psis, good, iv: Interval, weights=None) -> tuple[int, int]:
 
 
 def _vertical_report(fam, p, descriptor, elements, iv, bracket, note="", weights=None):
-    psis, good = _angles_for_elements(fam, p, elements)
+    psis, good = residue_angles(fam, p, elements)
     count, m = _count_interval(psis, good, iv, weights)
     expected = mu_st(iv) * m
     err = abs(count - expected)
@@ -322,17 +312,6 @@ def mixed_primes(fam: FamilyPoly, x: int, L: int, iv: Interval, cache=None,
 # character sums
 
 
-def _sym_seq(z, good, n_max):
-    """Yield (n, values) for n = 1..n_max with U_n(z) zeroed at bad slots."""
-    mask = good.astype(np.float64)
-    prev = np.ones_like(z)
-    cur = 2.0 * z
-    yield 1, cur * mask
-    for n in range(2, n_max + 1):
-        prev, cur = cur, 2.0 * z * cur - prev
-        yield n, cur * mask
-
-
 def charsum_verify(fam: FamilyPoly, p: int, n_max: int, mode: str = "exhaustive",
                    seed: int | None = None, count: int | None = None,
                    subgroup_r: int | None = None,
@@ -361,6 +340,7 @@ def charsum_verify(fam: FamilyPoly, p: int, n_max: int, mode: str = "exhaustive"
 
     a_vec, good = residue_traces(fam, p, w_of)
     z = a_vec / (2.0 * math.sqrt(p))
+    mask = good.astype(np.float64)
     bound_unit = fam.deg_delta * math.sqrt(p)
     fp = fingerprint_hex(fam)
 
@@ -377,7 +357,8 @@ def charsum_verify(fam: FamilyPoly, p: int, n_max: int, mode: str = "exhaustive"
         raise ValueError(f"unknown mode {mode!r}")
 
     reports = []
-    for n, y in _sym_seq(z, good, n_max):
+    for n, u in sym_terms(z, n_max):
+        y = u * mask  # zero at bad slots
         bound = (n + 1) * bound_unit
         if s_eval is None:
             # S(chi_s) = sum_z y[z] e(+ s z / period): inverse DFT scaled by length
@@ -408,20 +389,15 @@ def charsum_verify(fam: FamilyPoly, p: int, n_max: int, mode: str = "exhaustive"
 
 def _sym_over_params(fam: FamilyPoly, p: int, params, n: int):
     """sum of sym_n(psi(E(t))) over parameters with good reduction."""
-    params = list(params)
-    psis, good = _angles_for_elements(fam, p, params)
+    psis, good = residue_angles(fam, p, params)
     if not good.any():
         return 0.0
-    z = np.cos(psis[good])
-    prev = np.ones_like(z)
-    cur = 2.0 * z
-    for _ in range(n - 1):
-        prev, cur = cur, 2.0 * z * cur - prev
-    return float(np.sum(cur))
+    return float(np.sum(chebyshev_U(n, np.cos(psis[good]))))
 
 
 def incomplete_geom_sum(fam: FamilyPoly, p: int, lam: int, T: int, n: int):
     """Exact sum over lam^t, t <= T (T at most the order); bracket n sqrt(p) log p."""
+    _require_degree(n)
     _require_nondeg_global(fam)
     r = mult_order(lam, p)
     if T > r:
@@ -433,6 +409,7 @@ def incomplete_geom_sum(fam: FamilyPoly, p: int, lam: int, T: int, n: int):
 
 def interval_sum(fam: FamilyPoly, p: int, k: int, M: int, N: int, n: int):
     """Exact sum over t = km, M < m <= M+N; bracket n (N p^(-1/2) + p^(1/2) log p)."""
+    _require_degree(n)
     if math.gcd(k, p) != 1:
         raise ValueError("k must be coprime to p")
     if N == 0:
@@ -448,6 +425,7 @@ def bilinear_sum(fam: FamilyPoly, p: int, U, V, alpha_weights, beta_weights, n: 
     Bracket n A B sqrt(#U (maxU/p + 1) #V (maxV/p + 1) p) with A, B the
     weight sup norms.
     """
+    _require_degree(n)
     U, V = list(U), list(V)
     aw = list(alpha_weights)
     bw = list(beta_weights)
@@ -456,16 +434,11 @@ def bilinear_sum(fam: FamilyPoly, p: int, U, V, alpha_weights, beta_weights, n: 
     pairs = [(i, j) for i in range(len(U)) for j in range(len(V))
              if (U[i] * V[j]) % p != 0]
     params = [U[i] * V[j] for i, j in pairs]
-    psis, good = _angles_for_elements(fam, p, params)
+    psis, good = residue_angles(fam, p, params)
     value = 0j
     if good.any():
-        z = np.cos(psis[good])
-        prev = np.ones_like(z)
-        cur = 2.0 * z
-        for _ in range(n - 1):
-            prev, cur = cur, 2.0 * z * cur - prev
         w = np.array([aw[i] * bw[j] for (i, j), g in zip(pairs, good) if g])
-        value = complex(np.sum(w * cur))
+        value = complex(np.sum(w * chebyshev_U(n, np.cos(psis[good]))))
     A = max((abs(a) for a in aw), default=0.0)
     B = max((abs(b) for b in bw), default=0.0)
     ucap, vcap = max(U), max(V)
@@ -487,11 +460,7 @@ def _psi_of_t(fam: FamilyPoly, p: int, L: int, n: int, psi_fn=None) -> np.ndarra
     ws = np.arange(p, dtype=np.int64)
     a_vec, good = residue_traces(fam, p, ws)
     z = a_vec / (2.0 * math.sqrt(p))
-    prev = np.ones_like(z)
-    cur = 2.0 * z
-    for _ in range(n - 1):
-        prev, cur = cur, 2.0 * z * cur - prev
-    res_vals = np.where(good, cur, 0.0)
+    res_vals = np.where(good, chebyshev_U(n, z), 0.0)
     t = np.arange(1, L + 1, dtype=np.int64)
     out[1:] = res_vals[t % p]
     return out
@@ -507,14 +476,8 @@ def _mobius_window_coeffs(tables, K: float, kmax: int) -> np.ndarray:
     return c
 
 
-def vaughan_decompose(fam: FamilyPoly, p: int, L: int, K: float | None = None,
-                      M: float | None = None, n: int = 1,
-                      psi_fn=None) -> VaughanReport:
-    """Direct Lambda-weighted sum and its four-piece identity decomposition.
-
-    Defaults K = M = L^(1/3); the psi_fn hook replaces the curve values
-    (psi == 1 reproduces the Chebyshev psi function as a plumbing check).
-    """
+def _cuts(L: int, K: float | None, M: float | None) -> tuple[float, float]:
+    """Validated cut parameters; K and M default to L^(1/3)."""
     if L < 2:
         raise ValueError("L must be >= 2")
     if K is None:
@@ -523,6 +486,36 @@ def vaughan_decompose(fam: FamilyPoly, p: int, L: int, K: float | None = None,
         M = L ** (1.0 / 3.0)
     if K < 1 or M < 1 or K * M > L + 1e-9:
         raise ValueError("need K, M >= 1 and K*M <= L")
+    return K, M
+
+
+def _type_ii(weights, tables, psi, L: int, K: float, M: float) -> float:
+    """|sum over M < m <= L/K, K < k <= L/m of weights[m] c[k] psi[km]|."""
+    Mi, Ki = int(M), int(K)
+    kmax = L // (Mi + 1) if L // (Mi + 1) >= 1 else 0
+    c = _mobius_window_coeffs(tables, K, max(kmax, 1))
+    total = 0.0
+    for m in range(Mi + 1, int(L / K) + 1):
+        if weights[m] == 0.0:
+            continue
+        k_hi = L // m
+        if k_hi <= Ki:
+            continue
+        ks = np.arange(Ki + 1, k_hi + 1)
+        total += weights[m] * float(np.sum(c[ks] * psi[ks * m]))
+    return abs(float(total))
+
+
+def vaughan_decompose(fam: FamilyPoly, p: int, L: int, K: float | None = None,
+                      M: float | None = None, n: int = 1,
+                      psi_fn=None) -> VaughanReport:
+    """Direct Lambda-weighted sum and its four-piece identity decomposition.
+
+    Defaults K = M = L^(1/3); the psi_fn hook replaces the curve values
+    (psi == 1 reproduces the Chebyshev psi function as a plumbing check).
+    """
+    _require_degree(n)
+    K, M = _cuts(L, K, M)
     _require_nondeg_mod_p(fam, p)
     tables = sieve_arith(L)
     psi = _psi_of_t(fam, p, L, n, psi_fn)
@@ -546,18 +539,7 @@ def vaughan_decompose(fam: FamilyPoly, p: int, L: int, K: float | None = None,
         suffix = np.cumsum(arr[::-1])[::-1]
         sigma3 += float(np.max(np.abs(suffix)))
 
-    kmax = L // (Mi + 1) if L // (Mi + 1) >= 1 else 0
-    c = _mobius_window_coeffs(tables, K, max(kmax, 1))
-    total4 = 0.0
-    for m in range(Mi + 1, int(L / K) + 1):
-        if lam_vals[m] == 0.0:
-            continue
-        k_hi = L // m
-        if k_hi <= Ki:
-            continue
-        ks = np.arange(Ki + 1, k_hi + 1)
-        total4 += lam_vals[m] * float(np.sum(c[ks] * psi[ks * m]))
-    sigma4 = abs(float(total4))
+    sigma4 = _type_ii(lam_vals, tables, psi, L, K, M)
 
     bracket = L / math.sqrt(p) + L ** (5.0 / 6.0) + math.sqrt(L * p)
     return VaughanReport(p, L, K, M, n, direct, sigma1, sigma2, sigma3, sigma4,
@@ -573,6 +555,7 @@ def prime_sym_sum(fam: FamilyPoly, p: int, L: int, n: int,
     non-effective bound n^A pi(L) (1 + p/L)^(1/12) p^(-eta) at hint values
     and is diagnostic only.
     """
+    _require_degree(n)
     if L < 2:
         raise ValueError("L must be >= 2")
     _require_nondeg_mod_p(fam, p)
@@ -586,14 +569,8 @@ def prime_sym_sum(fam: FamilyPoly, p: int, L: int, n: int,
 def mobius_sums(fam: FamilyPoly, p: int, L: int, n: int, K: float | None = None,
                 M: float | None = None) -> MobiusReport:
     """Mobius-weighted sums over t <= L plus the omega 1..4 decomposition."""
-    if L < 2:
-        raise ValueError("L must be >= 2")
-    if K is None:
-        K = L ** (1.0 / 3.0)
-    if M is None:
-        M = L ** (1.0 / 3.0)
-    if K < 1 or M < 1 or K * M > L + 1e-9:
-        raise ValueError("need K, M >= 1 and K*M <= L")
+    _require_degree(n)
+    K, M = _cuts(L, K, M)
     _require_nondeg_mod_p(fam, p)
     tables = sieve_arith(L)
     psi = _psi_of_t(fam, p, L, n)
@@ -610,18 +587,6 @@ def mobius_sums(fam: FamilyPoly, p: int, L: int, n: int, K: float | None = None,
     for k in range(1, km + 1):
         omega2 += int(tables.tau[k]) * abs(float(psi[k::k].sum()))
 
-    Mi, Ki = int(M), int(K)
-    kmax = L // (Mi + 1) if L // (Mi + 1) >= 1 else 0
-    c = _mobius_window_coeffs(tables, K, max(kmax, 1))
-    total4 = 0.0
-    for m in range(Mi + 1, int(L / K) + 1):
-        if mu[m] == 0.0:
-            continue
-        k_hi = L // m
-        if k_hi <= Ki:
-            continue
-        ks = np.arange(Ki + 1, k_hi + 1)
-        total4 += mu[m] * float(np.sum(c[ks] * psi[ks * m]))
-    omega4 = abs(float(total4))
+    omega4 = _type_ii(mu, tables, psi, L, K, M)
 
     return MobiusReport(p, L, n, abs_mu, mu_sum, omega1, omega2, 0.0, omega4)

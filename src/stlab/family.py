@@ -52,12 +52,15 @@ def poly_eval(coeffs, t: int) -> int:
     return v
 
 
-def poly_eval_mod(coeffs, t: int, p: int) -> int:
-    """Horner evaluation carried out entirely on residues mod p."""
-    v = 0
-    t %= p
+def poly_eval_mod(coeffs, t, p: int):
+    """Horner evaluation carried out entirely on residues mod p.
+
+    t is an int or an int64 array (evaluated elementwise, never in place).
+    """
+    t = t % p
+    v = t * 0
     for c in reversed(coeffs):
-        v = (v * t + c) % p
+        v = (v * t + c % p) % p
     return v
 
 
@@ -116,19 +119,24 @@ def build_family(f_coeffs, g_coeffs) -> FamilyPoly:
     return FamilyPoly(f, g, delta, len(delta) - 1)
 
 
-def fingerprint(fam: FamilyPoly) -> int:
-    """64-bit FNV-1a over 'f=<c0,c1,...>;g=<c0,c1,...>' with decimal coefficients."""
-    text = "f=" + ",".join(str(c) for c in fam.f_coeffs)
-    text += ";g=" + ",".join(str(c) for c in fam.g_coeffs)
+def fnv1a_hex(text: str) -> str:
+    """64-bit FNV-1a over the ASCII bytes of text, as 16 hex digits."""
     h = _FNV_OFFSET
     for byte in text.encode("ascii"):
         h ^= byte
         h = (h * _FNV_PRIME) & 0xFFFFFFFFFFFFFFFF
-    return h
+    return format(h, "016x")
 
 
 def fingerprint_hex(fam: FamilyPoly) -> str:
-    return format(fingerprint(fam), "016x")
+    """FNV-1a over 'f=<c0,c1,...>;g=<c0,c1,...>' with decimal coefficients."""
+    text = "f=" + ",".join(str(c) for c in fam.f_coeffs)
+    text += ";g=" + ",".join(str(c) for c in fam.g_coeffs)
+    return fnv1a_hex(text)
+
+
+def fingerprint(fam: FamilyPoly) -> int:
+    return int(fingerprint_hex(fam), 16)
 
 
 def _four_f_cubed(fam: FamilyPoly):

@@ -14,18 +14,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from .family import fnv1a_hex
 from .finite_field import factor, mult_order, primitive_root
-
-_FNV_OFFSET = 0xCBF29CE484222325
-_FNV_PRIME = 0x100000001B3
-
-
-def _fnv(text: str) -> str:
-    h = _FNV_OFFSET
-    for byte in text.encode("ascii"):
-        h ^= byte
-        h = (h * _FNV_PRIME) & 0xFFFFFFFFFFFFFFFF
-    return format(h, "016x")
 
 
 @dataclass(frozen=True)
@@ -64,7 +54,8 @@ def product_residues(U, V, p: int) -> ParamSet:
         for v in V:
             elems.append(u * v % p)
             pairs.append((u, v))
-    desc = f"product:p={p}:U={_fnv(','.join(map(str, U)))}:V={_fnv(','.join(map(str, V)))}"
+    desc = (f"product:p={p}:U={fnv1a_hex(','.join(map(str, U)))}"
+            f":V={fnv1a_hex(','.join(map(str, V)))}")
     return ParamSet("product", tuple(elems), desc, tuple(pairs))
 
 

@@ -72,6 +72,18 @@ def st_cdf(theta: float) -> float:
     return theta / math.pi - math.sin(2 * theta) / (2 * math.pi)
 
 
+def sym_terms(z, n_max: int):
+    """Yield (n, U_n(z)) for n = 1..n_max by the three-term recurrence."""
+    if n_max < 1:
+        return
+    z = np.asarray(z, dtype=np.float64)
+    prev, cur = np.ones_like(z), 2.0 * z
+    yield 1, cur
+    for n in range(2, n_max + 1):
+        prev, cur = cur, 2.0 * z * cur - prev
+        yield n, cur
+
+
 def chebyshev_U(n: int, z):
     """Chebyshev polynomial of the second kind by the three-term recurrence.
 
@@ -80,13 +92,10 @@ def chebyshev_U(n: int, z):
     if n < 0:
         raise ValueError("n must be nonnegative")
     z = np.asarray(z, dtype=np.float64)
-    prev = np.ones_like(z)
-    if n == 0:
-        return prev if prev.ndim else float(prev)
-    cur = 2.0 * z
-    for _ in range(n - 1):
-        prev, cur = cur, 2.0 * z * cur - prev
-    return cur if cur.ndim else float(cur)
+    val = np.ones_like(z)
+    for _, val in sym_terms(z, n):
+        pass
+    return val if val.ndim else float(val)
 
 
 def sym(n: int, theta):
@@ -160,25 +169,10 @@ def niederreiter_rhs(sample: AngleSample, k: int) -> float:
     m = sample.m
     if m == 0:
         return 0.0
-    z = np.cos(sample.psis)
-    prev = np.ones_like(z)
-    cur = 2.0 * z
-    total = abs(float(np.sum(cur)))  # n = 1 term
-    for n in range(2, k + 1):
-        prev, cur = cur, 2.0 * z * cur - prev
-        total += abs(float(np.sum(cur))) / n
+    total = 0.0
+    for n, u in sym_terms(np.cos(sample.psis), k):
+        total += abs(float(np.sum(u))) / n
     return m / k + total
-
-
-def _default_sigma(sample: AngleSample, a_hint: float) -> float:
-    z = np.cos(sample.psis)
-    prev = np.ones_like(z)
-    cur = 2.0 * z
-    best = abs(float(np.sum(cur)))
-    for n in range(2, 21):
-        prev, cur = cur, 2.0 * z * cur - prev
-        best = max(best, abs(float(np.sum(cur))) / n**a_hint)
-    return best
 
 
 def discrepancy_report(sample: AngleSample, sigma_hint: float | None = None,
@@ -191,7 +185,11 @@ def discrepancy_report(sample: AngleSample, sigma_hint: float | None = None,
     m = sample.m
     if m < 1:
         raise ValueError("empty sample")
-    sigma = _default_sigma(sample, a_hint) if sigma_hint is None else float(sigma_hint)
+    if sigma_hint is None:
+        sigma = max(abs(float(np.sum(u))) / n**a_hint
+                    for n, u in sym_terms(np.cos(sample.psis), 20))
+    else:
+        sigma = float(sigma_hint)
     if sigma >= m:
         k = 1
     elif sigma <= 0.0:

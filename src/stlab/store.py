@@ -2,7 +2,9 @@
 
 Line 1 is `# stlab-cache v1 family=<hex16>`; every other line is `p,t,a` in
 decimal.  Readers load the whole file; the single writer appends new rows in
-ascending (p, t) order while holding an advisory lock.
+ascending (p, t) order while holding an advisory lock.  An unterminated final
+line is the torn tail of an interrupted append: readers skip it and the next
+writer truncates it under the lock.
 """
 
 from __future__ import annotations
@@ -31,7 +33,10 @@ class TraceCache:
         if not os.path.exists(self.path):
             return
         with open(self.path, "r", encoding="ascii") as fh:
-            header = fh.readline().rstrip("\n")
+            header = fh.readline()
+            if not header.endswith("\n") and (_MAGIC + self.fingerprint).startswith(header):
+                return  # empty, or torn inside the first header write
+            header = header.rstrip("\n")
             if not header.startswith(_MAGIC):
                 raise CacheError(f"{self.path}: not a trace cache (bad header)")
             fp = header[len(_MAGIC):]
@@ -40,6 +45,8 @@ class TraceCache:
                     f"{self.path}: cache belongs to family {fp}, expected {self.fingerprint}"
                 )
             for lineno, line in enumerate(fh, start=2):
+                if not line.endswith("\n"):
+                    break  # torn tail
                 line = line.strip()
                 if not line:
                     continue
@@ -84,17 +91,19 @@ class TraceCache:
         """Append pending rows (ascending (p, t)) under an advisory lock."""
         if not self._pending:
             return
-        new_file = not os.path.exists(self.path)
-        with open(self.path, "a", encoding="ascii") as fh:
-            fcntl.flock(fh.fileno(), fcntl.LOCK_EX)
+        with open(self.path, "a+", encoding="ascii") as fh:  # a+: pread needs read access
+            fd = fh.fileno()
+            fcntl.flock(fd, fcntl.LOCK_EX)
             try:
-                if new_file and fh.tell() == 0:
+                size = _complete_length(fd, os.fstat(fd).st_size)
+                os.ftruncate(fd, size)
+                if size == 0:
                     fh.write(_MAGIC + self.fingerprint + "\n")
                 for (p, t), a in sorted(self._pending.items()):
                     fh.write(f"{p},{t},{a}\n")
                 fh.flush()
             finally:
-                fcntl.flock(fh.fileno(), fcntl.LOCK_UN)
+                fcntl.flock(fd, fcntl.LOCK_UN)
         self._rows.update(self._pending)
         self._pending.clear()
 
@@ -110,6 +119,18 @@ class TraceCache:
 
     def __len__(self):
         return len(self._rows) + len(self._pending)
+
+
+def _complete_length(fd: int, size: int, chunk: int = 4096) -> int:
+    """Length of the file up to and including its last newline."""
+    end = size
+    while end > 0:
+        start = max(0, end - chunk)
+        i = os.pread(fd, end - start, start).rfind(b"\n")
+        if i >= 0:
+            return start + i + 1
+        end = start
+    return 0
 
 
 def open_cache(path: str, fam: FamilyPoly) -> TraceCache:

@@ -9,71 +9,19 @@ Legendre machinery.
 from __future__ import annotations
 
 import math
-import os
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 
 import numpy as np
 
 from .errors import RefusedError
-from .family import CurveInstance, FamilyPoly, fingerprint_hex
+from .family import CurveInstance, FamilyPoly, fingerprint_hex, poly_eval_mod
 from .finite_field import ResidueTable
 from .sato_tate import AngleSample
 
 NAIVE_LIMIT = 10_000
 
-try:  # compiled sweep kernel; the numpy block path below is the fallback
-    from numba import njit
 
-    # Serial + nogil: callers provide thread-level parallelism (a parallel=True
-    # kernel would crash when experiments invoke it from worker threads).
-    @njit(cache=True, nogil=True)
-    def _sweep_kernel(x3, leg, a_arr, b_arr, p):  # pragma: no cover - compiled
-        out = np.empty(len(a_arr), dtype=np.int64)
-        for i in range(len(a_arr)):
-            a = a_arr[i]
-            b = b_arr[i]
-            t = 0
-            acc = 0
-            for x in range(p):
-                s = x3[x] + t + b
-                if s >= p:
-                    s -= p
-                if s >= p:
-                    s -= p
-                acc += leg[s]
-                t += a
-                if t >= p:
-                    t -= p
-            out[i] = -acc
-        return out
-
-    _HAVE_NUMBA = True
-except ImportError:  # pragma: no cover
-    _HAVE_NUMBA = False
-
-_PARALLEL_SWEEP_THRESHOLD = 50_000_000  # curves * p below this run single-threaded
-
-
-def _sweep(x3, leg, a_arr, b_arr, p: int) -> np.ndarray:
-    if not _HAVE_NUMBA:
-        return _sweep_numpy(x3, leg, a_arr, b_arr, p)
-    n = len(a_arr)
-    cpus = os.cpu_count() or 1
-    if n * p < _PARALLEL_SWEEP_THRESHOLD or cpus < 2 or n < 2:
-        return _sweep_kernel(x3, leg, a_arr, b_arr, p)
-    k = min(cpus, 8, n)
-    chunks = np.array_split(np.arange(n), k)
-    out = np.empty(n, dtype=np.int64)
-    with ThreadPoolExecutor(max_workers=k) as pool:
-        futures = [(c, pool.submit(_sweep_kernel, x3, leg, a_arr[c], b_arr[c], p))
-                   for c in chunks if len(c)]
-        for c, fut in futures:
-            out[c] = fut.result()
-    return out
-
-
-def _sweep_numpy(x3, leg, a_arr, b_arr, p: int, block: int = 64) -> np.ndarray:
+def _sweep(x3, leg, a_arr, b_arr, p: int, block: int = 64) -> np.ndarray:
     x = np.arange(p, dtype=np.int64)
     out = np.empty(len(a_arr), dtype=np.int64)
     for lo in range(0, len(a_arr), block):
@@ -121,7 +69,8 @@ def trace(c: CurveInstance, tbl: ResidueTable) -> int:
     x = np.arange(p, dtype=np.int64)
     rhs = (((x * x % p) * x % p) + c.a * x + c.b) % p
     a = -int(tbl.leg[rhs].sum())
-    assert _hasse_ok(a, p), f"Hasse violated: a={a}, p={p} (bug)"
+    if not _hasse_ok(a, p):
+        raise RuntimeError(f"Hasse violated: a={a}, p={p} (bug)")
     return a
 
 
@@ -134,16 +83,9 @@ def residue_traces(fam: FamilyPoly, p: int, ws, tbl: ResidueTable | None = None)
     if tbl is None:
         tbl = ResidueTable.build(p)
     ws = np.asarray(ws, dtype=np.int64) % p
-
-    def eval_mod(coeffs, vals):
-        acc = np.zeros_like(vals)
-        for c in reversed(coeffs):
-            acc = (acc * vals + (c % p)) % p
-        return acc
-
-    good = eval_mod(fam.delta_coeffs, ws) != 0
-    a_par = eval_mod(fam.f_coeffs, ws)
-    b_par = eval_mod(fam.g_coeffs, ws)
+    good = poly_eval_mod(fam.delta_coeffs, ws, p) != 0
+    a_par = poly_eval_mod(fam.f_coeffs, ws, p)
+    b_par = poly_eval_mod(fam.g_coeffs, ws, p)
 
     x = np.arange(p, dtype=np.int64)
     x3 = (x * x % p) * x % p
@@ -152,7 +94,8 @@ def residue_traces(fam: FamilyPoly, p: int, ws, tbl: ResidueTable | None = None)
     if idx.size:
         out[idx] = _sweep(x3, tbl.leg, a_par[idx], b_par[idx], p)
         worst = int(np.max(out[idx] * out[idx] - 4 * p))
-        assert worst <= 0, f"Hasse violated in sweep at p={p} (bug)"
+        if worst > 0:
+            raise RuntimeError(f"Hasse violated in sweep at p={p} (bug)")
     return out, good
 
 
@@ -206,19 +149,24 @@ def angle(rec: TraceRecord) -> float:
     return math.acos(rec.a / (2.0 * math.sqrt(rec.p)))
 
 
+def residue_angles(fam: FamilyPoly, p: int, params, tbl: ResidueTable | None = None):
+    """Per-parameter (psis, good) arrays in input order, psi NaN at bad reduction.
+
+    params may repeat (multiset semantics); each distinct residue is traced once.
+    """
+    ws, where = np.unique(np.array([t % p for t in params], dtype=np.int64),
+                          return_inverse=True)
+    a_vec, good = residue_traces(fam, p, ws, tbl)
+    z = a_vec / (2.0 * math.sqrt(p))
+    psi_of = np.full(len(ws), np.nan)
+    for i in np.flatnonzero(good):
+        psi_of[i] = math.acos(z[i])
+    return psi_of[where], good[where]
+
+
 def angle_sample(fam: FamilyPoly, p: int, params, descriptor: str = "",
                  tbl: ResidueTable | None = None) -> AngleSample:
-    """Angles of E(t) for every parameter with good reduction, in input order.
-
-    params may repeat (multiset semantics); duplicates share one trace.
-    """
-    params = list(params)
-    ws = sorted({t % p for t in params})
-    a_vec, good = residue_traces(fam, p, ws, tbl)
-    psi_of = {}
-    for i, w in enumerate(ws):
-        if good[i]:
-            psi_of[w] = math.acos(a_vec[i] / (2.0 * math.sqrt(p)))
-    psis = np.array([psi_of[t % p] for t in params if (t % p) in psi_of])
+    """Angles of E(t) for every parameter with good reduction, in input order."""
+    psis, good = residue_angles(fam, p, params, tbl)
     desc = descriptor or f"fam={fingerprint_hex(fam)}:p={p}"
-    return AngleSample(psis, desc)
+    return AngleSample(psis[good], desc)

@@ -54,6 +54,15 @@ def test_usage_error_exit_1(capsys):
     assert run(["family", "check", "--f", "0", "--g", "0"]) == 1
 
 
+def test_sums_degree_below_one_exit_1(capsys):
+    for n in ("0", "-1"):
+        for kind in ("vaughan", "mobius", "prime-sym"):
+            code = run(["sums", kind, "--f", "0,1", "--g", "0,1", "-p", "101",
+                        "-L", "100", "-n", n])
+            assert code == 1
+            assert capsys.readouterr().out == ""
+
+
 def test_refused_exit_3(capsys):
     code = run(["verify", "charsum", "--f", "0,1", "--g", "0,1",
                 "-p", "4194319", "--n-max", "1"])
@@ -146,6 +155,34 @@ def test_env_cache_override(tmp_path, capsys, monkeypatch):
         "--cache", str(flag_path)])
     assert code == 0
     assert env_path.exists() and not flag_path.exists()
+
+
+def test_torn_cache_tail_recovers(tmp_path, capsys):
+    path = tmp_path / "c.txt"
+    argv = ["experiment", "mixed-product", "--f", "0,1", "--g", "0,1",
+            "-x", "60", "--set-u", "1..4", "--set-v", "1..4", "--cache", str(path)]
+    stats = ["cache", "stats", "--cache", str(path), "--f", "0,1", "--g", "0,1"]
+    code, before = run_json(capsys, argv)
+    assert code == 0
+    whole = path.read_bytes()
+    rows = whole.decode().splitlines()[1:]
+
+    # a crash in the middle of the last row: the rerun recomputes that row,
+    # truncates the torn tail and leaves the file as it was
+    path.write_bytes(whole[:-3])
+    code, after = run_json(capsys, argv)
+    assert code == 0
+    assert strip_runtime(after) == strip_runtime(before)
+    assert path.read_bytes() == whole
+
+    # a torn row the run never needs: skipped on load, the report unchanged
+    with open(path, "a", encoding="ascii") as fh:
+        fh.write("101,7")
+    code, after = run_json(capsys, argv)
+    assert code == 0
+    assert strip_runtime(after) == strip_runtime(before)
+    code, out = run_json(capsys, stats)
+    assert code == 0 and out["rows"] == len(rows)
 
 
 def test_sums_orders_command(capsys):

@@ -424,6 +424,22 @@ def test_vaughan_validation(fam_zz):
         ex.vaughan_decompose(fam_zz, 101, 1)
     with pytest.raises(ValueError):
         ex.vaughan_decompose(fam_zz, 101, 10, K=5.0, M=5.0)
+    # sym degree n < 1 is refused everywhere, not silently run as n = 1
+    for n in (0, -1):
+        with pytest.raises(ValueError, match="degree"):
+            ex.vaughan_decompose(fam_zz, 101, 100, n=n)
+        with pytest.raises(ValueError, match="degree"):
+            ex.mobius_sums(fam_zz, 101, 100, n)
+        with pytest.raises(ValueError, match="degree"):
+            ex.prime_sym_sum(fam_zz, 101, 100, n)
+        with pytest.raises(ValueError, match="degree"):
+            ex.interval_sum(fam_zz, 101, 1, 0, 10, n)
+        with pytest.raises(ValueError, match="degree"):
+            ex.interval_sum(fam_zz, 101, 1, 0, 0, n)
+        with pytest.raises(ValueError, match="degree"):
+            ex.incomplete_geom_sum(fam_zz, 101, 2, 5, n)
+        with pytest.raises(ValueError, match="degree"):
+            ex.bilinear_sum(fam_zz, 101, [1, 2], [3], [1, 1], [1], n)
 
 
 def test_vaughan_tiny_example(fam_zz):

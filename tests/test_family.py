@@ -1,3 +1,4 @@
+import numpy as np
 import pytest
 from hypothesis import given, strategies as st
 
@@ -12,6 +13,7 @@ from stlab.family import (
     fingerprint_hex,
     good_reduction,
     poly_eval,
+    poly_eval_mod,
     reduce_at,
 )
 
@@ -122,6 +124,18 @@ def test_delta_matches_direct_recomputation(fc, gc, t):
     ft = poly_eval(fam.f_coeffs, t)
     gt = poly_eval(fam.g_coeffs, t)
     assert delta_at(fam, t) == -16 * (4 * ft**3 + 27 * gt**2)
+
+
+@given(st.lists(st.integers(min_value=-10**30, max_value=10**30), max_size=5),
+       st.lists(st.integers(min_value=-10**6, max_value=10**6), min_size=1, max_size=20),
+       st.sampled_from([5, 7, 101, 1009, 99991, 4194301]))
+def test_poly_eval_mod_array_matches_exact(coeffs, ts, p):
+    t = np.array(ts, dtype=np.int64)
+    got = poly_eval_mod(coeffs, t, p)
+    assert got.dtype == np.int64
+    assert got.tolist() == [poly_eval(coeffs, v) % p for v in ts]
+    assert t.tolist() == ts  # the argument is not reduced in place
+    assert poly_eval_mod(coeffs, ts[0], p) == poly_eval(coeffs, ts[0]) % p
 
 
 def test_fingerprint_format(fam_zz):

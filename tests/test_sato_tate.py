@@ -19,6 +19,7 @@ from stlab.sato_tate import (
     star_discrepancy,
     sym,
     sym_sum,
+    sym_terms,
 )
 
 
@@ -88,6 +89,16 @@ def test_chebyshev_examples():
     assert chebyshev_U(2, 0.0) == -1.0
     assert chebyshev_U(3, 0.5) == -1.0  # 2*0.5*U2(0.5) - U1(0.5) = 0 - 1
     assert chebyshev_U(0, -0.3) == 1.0
+
+
+def test_sym_terms_matches_chebyshev():
+    z = np.linspace(-1.0, 1.0, 41)
+    terms = list(sym_terms(z, 12))
+    assert [n for n, _ in terms] == list(range(1, 13))
+    for n, u in terms:
+        assert np.array_equal(u, chebyshev_U(n, z))
+    assert [n for n, _ in sym_terms(0.3, 12)] == list(range(1, 13))
+    assert list(sym_terms(z, 0)) == []
 
 
 def test_sym_examples():

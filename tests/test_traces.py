@@ -14,6 +14,7 @@ from stlab.traces import (
     angle_sample,
     batch_traces,
     count_points_naive,
+    residue_angles,
     residue_traces,
     trace,
 )
@@ -116,10 +117,19 @@ def test_angle_sample_multiset_and_descriptor(fam_zz):
     assert "p=5" in default.descriptor
 
 
-def test_residue_traces_numpy_fallback_matches(fam_zz, monkeypatch):
-    import stlab.traces as tr
+def test_residue_angles_marks_bad_reduction(fam_zz):
+    psis, good = residue_angles(fam_zz, 5, [1, 0, 6, 5])
+    assert good.tolist() == [True, False, True, False]
+    assert np.isnan(psis[~good]).all()
+    assert psis[0] == psis[2] == angle(TraceRecord(5, 1, -3))
 
-    want, good_want = residue_traces(fam_zz, 101, range(101))
-    monkeypatch.setattr(tr, "_HAVE_NUMBA", False)
-    got, good_got = residue_traces(fam_zz, 101, range(101))
-    assert np.array_equal(want, got) and np.array_equal(good_want, good_got)
+
+def test_hasse_violation_is_an_error_not_an_assert(fam_zz):
+    # a corrupted table (every value a square) gives a = -p; the check must
+    # survive python -O, so it cannot be an assert
+    good = ResidueTable.build(101)
+    bad = ResidueTable(101, good.qr, np.ones(101, dtype=np.int8))
+    with pytest.raises(RuntimeError, match="Hasse"):
+        trace(CurveInstance(101, 1, 1), bad)
+    with pytest.raises(RuntimeError, match="Hasse"):
+        residue_traces(fam_zz, 101, range(1, 10), bad)
