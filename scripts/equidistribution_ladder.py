@@ -3,7 +3,7 @@
 
 Example:
     python scripts/equidistribution_ladder.py --f 0,1 --g 0,1 \
-        --primes 1009,10007,100003
+        --primes 1009,10007,100003,1000003
 """
 
 import argparse
@@ -18,7 +18,7 @@ def main():
     ap = argparse.ArgumentParser()
     ap.add_argument("--f", default="0,1")
     ap.add_argument("--g", default="0,1")
-    ap.add_argument("--primes", default="1009,10007,100003")
+    ap.add_argument("--primes", default="1009,10007,100003,1000003")
     args = ap.parse_args()
 
     fam = build_family([int(c) for c in args.f.split(",")],

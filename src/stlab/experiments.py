@@ -412,6 +412,8 @@ def interval_sum(fam: FamilyPoly, p: int, k: int, M: int, N: int, n: int):
     _require_degree(n)
     if math.gcd(k, p) != 1:
         raise ValueError("k must be coprime to p")
+    if N < 0:
+        raise ValueError("N must be >= 0")
     if N == 0:
         return 0.0, n * math.sqrt(p) * math.log(p)
     params = [k * m for m in range(M + 1, M + N + 1)]

@@ -8,6 +8,7 @@ prime, are immutable afterwards, and may be shared freely across threads.
 from __future__ import annotations
 
 import cmath
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -143,6 +144,27 @@ def primitive_root(p: int) -> int:
         g += 1
 
 
+def power_table(g: int, p: int) -> np.ndarray:
+    """pw[z] = g**z mod p for z in [0, p-2], as int64.
+
+    Built blockwise: about 2 sqrt(p) Python steps for the inner and outer
+    powers, then one outer product.  Needs p**2 below 2**63.
+    """
+    n = p - 1
+    m = max(1, math.isqrt(n))
+    inner = np.empty(m, dtype=np.int64)
+    w = 1
+    for j in range(m):
+        inner[j] = w
+        w = w * g % p
+    outer = np.empty(-(-n // m), dtype=np.int64)
+    v = 1
+    for i in range(len(outer)):
+        outer[i] = v
+        v = v * w % p
+    return (outer[:, None] * inner[None, :] % p).ravel()[:n]
+
+
 @dataclass(frozen=True)
 class IndexTable:
     """Discrete-log table: ind[g**z mod p] = z for z in [0, p-2].
@@ -163,10 +185,7 @@ class IndexTable:
             )
         g = primitive_root(p)
         ind = np.full(p, -1, dtype=np.int64)
-        w = 1
-        for z in range(p - 1):
-            ind[w] = z
-            w = w * g % p
+        ind[power_table(g, p)] = np.arange(p - 1, dtype=np.int64)
         ind.setflags(write=False)
         return cls(p, g, ind)
 

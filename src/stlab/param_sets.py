@@ -109,6 +109,8 @@ def geometric(lam: int, T: int, p: int) -> ParamSet:
 
 def interval_params(M: int, N: int) -> ParamSet:
     """Integers M+1 .. M+N."""
+    if N < 0:
+        raise ValueError("N must be >= 0")
     return ParamSet("interval", tuple(range(M + 1, M + N + 1)), f"interval:M={M}:N={N}")
 
 

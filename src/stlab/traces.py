@@ -1,8 +1,10 @@
 """Frobenius traces and angles, with batch amortization per prime.
 
-The production path is the Legendre-sum identity a = -sum_x (x^3+ax+b | p)
-over a shared residue table, O(p) per distinct curve.  count_points_naive is
-the independent oracle: it enumerates squares directly and never touches the
+The production path builds per-prime trace rows, each one FFT correlation of
+a weight vector with the Legendre symbol chi; every curve then costs one table
+lookup (see residue_traces).  trace() is the direct Legendre sum
+a = -sum_x chi(x^3+ax+b), O(p) per curve, and count_points_naive is the
+independent oracle: it enumerates squares directly and never touches the
 Legendre machinery.
 """
 
@@ -15,23 +17,79 @@ import numpy as np
 
 from .errors import RefusedError
 from .family import CurveInstance, FamilyPoly, fingerprint_hex, poly_eval_mod
-from .finite_field import ResidueTable
+from .finite_field import ResidueTable, power_table, primitive_root
 from .sato_tate import AngleSample
 
 NAIVE_LIMIT = 10_000
 
 
-def _sweep(x3, leg, a_arr, b_arr, p: int, block: int = 64) -> np.ndarray:
+def _smooth_len(n: int) -> int:
+    """Smallest 5-smooth integer >= n (a fast numpy.fft length)."""
+    best = 1 << (n - 1).bit_length()
+    f5 = 1
+    while f5 < best:
+        f35 = f5
+        while f35 < best:
+            f = f35
+            while f < n:
+                f *= 2
+            best = min(best, f)
+            f35 *= 3
+        f5 *= 5
+    return best
+
+
+def _correlate(weights, chi_hat, size: int, p: int) -> np.ndarray:
+    """c[s] = sum_y weights[y] chi(y + s mod p) for s in [0, p), as exact int64.
+
+    chi_hat is the rfft of chi repeated twice; size >= 2p - 1 keeps the linear
+    correlation free of wrap-around.
+    """
+    c = np.fft.irfft(np.conj(np.fft.rfft(weights, size)) * chi_hat, size)[:p]
+    r = np.rint(c)
+    err = float(np.max(np.abs(c - r)))
+    if not err < 0.25:
+        raise RuntimeError(f"FFT correlation not integral at p={p}: residual {err:.3g} (bug)")
+    return r.astype(np.int64)
+
+
+def _table_traces(leg, a_arr, b_arr, p: int) -> np.ndarray:
+    """-sum_x chi(x^3 + a x + b) for each (a, b), from at most three rows.
+
+    - a = 0: T0[b] = -sum_y N[y] chi(y + b), N[y] = #{x : x^3 = y}.
+    - b = 0: T1728[a] = -sum_y M2[y] chi(y + a), M2[y] = sum_{x^2 = y} chi(x).
+    - otherwise (s, s) with s = a^3 / b^2 is the twist of (a, b) by c = a/b
+      (x -> c x multiplies the cubic by c^3), so the trace is chi(a b) T[s].
+      x = w - 1 turns x^3 + s x + s into w ((w-1)^3 / w + s), hence
+      T[s] = -chi(-1) - sum_y M[y] chi(y + s), M[y] = sum_{(w-1)^3/w = y} chi(w).
+
+    Only the rows some curve uses are built.
+    """
+    size = _smooth_len(2 * p - 1)
+    chi_hat = np.fft.rfft(np.concatenate((leg, leg)), size)
     x = np.arange(p, dtype=np.int64)
     out = np.empty(len(a_arr), dtype=np.int64)
-    for lo in range(0, len(a_arr), block):
-        hi = min(lo + block, len(a_arr))
-        vals = a_arr[lo:hi, None] * x[None, :]
-        vals %= p
-        vals += x3[None, :]
-        vals += b_arr[lo:hi, None]
-        vals %= p
-        out[lo:hi] = -leg[vals].sum(axis=1, dtype=np.int64)
+    j0 = a_arr == 0
+    j1728 = (b_arr == 0) & ~j0
+    rest = ~(j0 | j1728)
+    if j0.any():
+        n0 = np.bincount(x * x % p * x % p, minlength=p)
+        out[j0] = -_correlate(n0, chi_hat, size, p)[b_arr[j0]]
+    if j1728.any():
+        m2 = np.bincount(x * x % p, weights=leg, minlength=p)
+        out[j1728] = -_correlate(m2, chi_hat, size, p)[a_arr[j1728]]
+    if rest.any():
+        pw = power_table(primitive_root(p), p)
+        inv = np.zeros(p, dtype=np.int64)
+        inv[pw] = np.concatenate((pw[:1], pw[:0:-1]))  # 1/g^z = g^(p-1-z)
+        w = x[1:]
+        u = w - 1
+        m = np.bincount(u * u % p * u % p * inv[w] % p, weights=leg[1:], minlength=p)
+        row = -int(leg[p - 1]) - _correlate(m, chi_hat, size, p)
+        a, b = a_arr[rest], b_arr[rest]
+        ib = inv[b]
+        s = a * a % p * a % p * (ib * ib % p) % p
+        out[rest] = leg[a * b % p] * row[s]
     return out
 
 
@@ -87,15 +145,13 @@ def residue_traces(fam: FamilyPoly, p: int, ws, tbl: ResidueTable | None = None)
     a_par = poly_eval_mod(fam.f_coeffs, ws, p)
     b_par = poly_eval_mod(fam.g_coeffs, ws, p)
 
-    x = np.arange(p, dtype=np.int64)
-    x3 = (x * x % p) * x % p
     out = np.zeros(len(ws), dtype=np.int64)
     idx = np.flatnonzero(good)
     if idx.size:
-        out[idx] = _sweep(x3, tbl.leg, a_par[idx], b_par[idx], p)
+        out[idx] = _table_traces(tbl.leg, a_par[idx], b_par[idx], p)
         worst = int(np.max(out[idx] * out[idx] - 4 * p))
         if worst > 0:
-            raise RuntimeError(f"Hasse violated in sweep at p={p} (bug)")
+            raise RuntimeError(f"Hasse violated in trace table at p={p} (bug)")
     return out, good
 
 

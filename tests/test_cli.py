@@ -145,6 +145,15 @@ def test_angles_subgroup_kind(capsys):
     assert out["m"] <= 25
 
 
+def test_angles_interval_negative_n_exit_1(capsys):
+    code = run(["angles", "--f", "0,1", "--g", "0,1", "-p", "101", "--kind", "interval",
+                "-M", "0", "-N", "-5"])
+    assert code == 1
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert "N must be >= 0" in captured.err
+
+
 def test_env_cache_override(tmp_path, capsys, monkeypatch):
     env_path = tmp_path / "env_cache.txt"
     flag_path = tmp_path / "flag_cache.txt"

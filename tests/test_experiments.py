@@ -315,6 +315,11 @@ def test_interval_sum(fam_zz):
         ex.interval_sum(fam_zz, 101, 101, 0, 5, 1)
 
 
+def test_interval_sum_negative_length_refused(fam_zz):
+    with pytest.raises(ValueError, match="N must be >= 0"):
+        ex.interval_sum(fam_zz, 101, 1, 0, -5, 1)
+
+
 def test_interval_sum_complete_case_obeys_charsum_bound(fam_zz):
     # k=1, M=0, N=p covers every residue; delta(0) = 0 here so the value
     # coincides with the trivial-character sum and its exact bound applies

@@ -16,6 +16,7 @@ from stlab.finite_field import (
     legendre,
     mod_pow,
     mult_order,
+    power_table,
     primitive_root,
 )
 
@@ -126,6 +127,15 @@ def test_index_table_bijection():
     assert tbl.ind[tbl.g] == 1
     assert tbl.ind[0] == -1
     assert sorted(int(z) for z in tbl.ind[1:]) == list(range(100))
+    assert all(tbl.ind[pow(tbl.g, z, 101)] == z for z in range(100))
+
+
+@pytest.mark.parametrize("p", [3, 5, 7, 11, 13, 17, 101] + MEDIUM_PRIMES)
+def test_power_table_matches_pow(p):
+    g = primitive_root(p)
+    pw = power_table(g, p)
+    assert pw.dtype == np.int64
+    assert pw.tolist() == [pow(g, z, p) for z in range(p - 1)]
 
 
 def test_index_table_size_guard():

@@ -90,6 +90,9 @@ def test_geometric_periodicity(lam, p):
 def test_interval_params():
     assert interval_params(5, 3).elements == (6, 7, 8)
     assert interval_params(0, 2).descriptor == "interval:M=0:N=2"
+    assert interval_params(3, 0).elements == ()
+    with pytest.raises(ValueError, match="N must be >= 0"):
+        interval_params(0, -5)
 
 
 def test_sieve_examples():

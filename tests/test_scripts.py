@@ -1,0 +1,27 @@
+import os
+import subprocess
+import sys
+from pathlib import Path
+
+import pytest
+
+ROOT = Path(__file__).resolve().parents[1]
+
+
+def run_script(name, *args):
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join(
+        [str(ROOT / "src")] + ([env["PYTHONPATH"]] if env.get("PYTHONPATH") else []))
+    return subprocess.run([sys.executable, str(ROOT / "scripts" / name), *args],
+                          capture_output=True, text=True, env=env, timeout=120)
+
+
+@pytest.mark.parametrize("name, args", [
+    ("equidistribution_ladder.py", ["--primes", "101,211,1009"]),
+    ("charsum_audit.py", ["--primes", "101,211,1009", "--n-max", "1"]),
+])
+def test_script_prints_one_row_per_prime(name, args):
+    proc = run_script(name, *args)
+    assert proc.returncode == 0, proc.stderr
+    rows = [line.split()[0] for line in proc.stdout.splitlines()[1:]]
+    assert rows == ["101", "211", "1009"]

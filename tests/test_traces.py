@@ -5,11 +5,12 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from stlab.errors import RefusedError
-from stlab.family import CurveInstance, build_family
-from stlab.finite_field import ResidueTable
+from stlab.family import CurveInstance, build_family, poly_eval_mod
+from stlab.finite_field import ResidueTable, is_prime
 from stlab.store import open_cache
 from stlab.traces import (
     TraceRecord,
+    _smooth_len,
     angle,
     angle_sample,
     batch_traces,
@@ -18,6 +19,9 @@ from stlab.traces import (
     residue_traces,
     trace,
 )
+
+PRIMES_TO_43 = [5, 7, 11, 13, 17, 19, 23, 29, 31, 37, 41, 43]
+PRIMES_TO_2000 = [p for p in range(5, 2000) if is_prime(p)]
 
 
 def test_count_points_naive_frozen_values():
@@ -133,3 +137,62 @@ def test_hasse_violation_is_an_error_not_an_assert(fam_zz):
         trace(CurveInstance(101, 1, 1), bad)
     with pytest.raises(RuntimeError, match="Hasse"):
         residue_traces(fam_zz, 101, range(1, 10), bad)
+
+
+@pytest.mark.parametrize("p", PRIMES_TO_43)
+def test_table_traces_exhaustive_small_primes(p):
+    # f = A, g = Z runs every residue through all three rows: A = 0 (j = 0),
+    # w = 0 with A != 0 (j = 1728) and the twist row; half these primes have
+    # chi(-1) = -1
+    tbl = ResidueTable.build(p)
+    for A in range(p):
+        a_vec, good = residue_traces(build_family([A], [0, 1]), p, range(p), tbl)
+        for w in np.flatnonzero(good):
+            c = CurveInstance(p, A, int(w))
+            assert a_vec[w] == trace(c, tbl) == p + 1 - count_points_naive(c)
+        assert good[1:].all() if A == 0 else good[0]
+
+
+@given(st.sampled_from(PRIMES_TO_2000),
+       st.lists(st.integers(min_value=-50, max_value=50), min_size=1, max_size=4),
+       st.lists(st.integers(min_value=-50, max_value=50), min_size=1, max_size=4),
+       st.lists(st.integers(min_value=0, max_value=10**6), min_size=1, max_size=40))
+@settings(max_examples=80)
+def test_table_traces_match_direct_sum(p, fc, gc, ts):
+    if not any(fc) and not any(gc):
+        fc = [1]
+    fam = build_family(fc, gc)
+    tbl = ResidueTable.build(p)
+    a_vec, good = residue_traces(fam, p, ts, tbl)
+    for t, a, ok in zip(ts, a_vec, good):
+        if not ok:
+            continue
+        c = CurveInstance(p, poly_eval_mod(fam.f_coeffs, t, p), poly_eval_mod(fam.g_coeffs, t, p))
+        assert a == trace(c, tbl)
+        if p <= 101:
+            assert a == p + 1 - count_points_naive(c)
+
+
+def test_table_traces_refuse_an_inexact_correlation(fam_zz, monkeypatch):
+    irfft = np.fft.irfft
+    monkeypatch.setattr(np.fft, "irfft", lambda *args, **kw: irfft(*args, **kw) + 0.3)
+    with pytest.raises(RuntimeError, match="not integral"):
+        residue_traces(fam_zz, 101, range(1, 10))
+
+
+def test_no_table_built_without_a_good_residue(fam_zz, monkeypatch):
+    def fail(*args, **kw):
+        raise AssertionError("a trace row was built")
+    monkeypatch.setattr(np.fft, "rfft", fail)
+    a_vec, good = residue_traces(fam_zz, 101, [0, 101, -101])
+    assert not good.any() and not a_vec.any()
+
+
+def test_smooth_len_is_the_least_5_smooth_bound():
+    def smooth(n):
+        for q in (2, 3, 5):
+            while n % q == 0:
+                n //= q
+        return n == 1
+    for n in range(1, 3000):
+        assert _smooth_len(n) == min(m for m in range(n, 2 * n + 1) if smooth(m))
