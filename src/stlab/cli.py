@@ -468,8 +468,7 @@ def _run_sums(cfg, args, started):
 
 
 def _run_cache_stats(cfg, started):
-    cache = open_cache(cfg.cache_path, cfg.fam)
-    rows = cache._rows
+    rows = open_cache(cfg.cache_path, cfg.fam).keys()
     primes = sorted({p for p, _ in rows})
     _emit({
         "command": "cache stats",

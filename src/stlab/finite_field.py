@@ -21,6 +21,12 @@ _MR_WITNESSES = (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37)
 # ind tables take O(p) words; larger p must opt in explicitly.
 INDEX_TABLE_LIMIT = 1 << 22
 
+# Every trace path builds a ResidueTable first, so this one cap refuses a prime
+# before any O(p) array exists.  The trace rows take about 130 bytes per unit
+# of p (557 MB at p = 4194301); at 2**23 that is about 1.1 GB.  The cap lies
+# above INDEX_TABLE_LIMIT so allow_large still admits larger index tables.
+TABLE_LIMIT = 1 << 23
+
 
 def is_prime(n: int) -> bool:
     """Deterministic Miller-Rabin for n < 3.3e24."""
@@ -121,6 +127,8 @@ class ResidueTable:
     def build(cls, p: int) -> "ResidueTable":
         if p <= 2 or not is_prime(p):
             raise ValueError(f"{p} is not an odd prime")
+        if p > TABLE_LIMIT:
+            raise RefusedError(f"residue table for p={p} exceeds the {TABLE_LIMIT} limit")
         x = np.arange(1, p, dtype=np.int64)
         qr = np.zeros(p, dtype=np.uint8)
         qr[(x * x) % p] = 1

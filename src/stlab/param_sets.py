@@ -1,10 +1,10 @@
 """Parameter sets with multiplicative structure, and arithmetic-function sieves.
 
 Generators: multiplicative subgroups of F_p*, product multisets U*V, primes
-up to L, geometric progressions lambda^t, plain intervals.  Sieves fill the
-von Mangoldt, Mobius, omega and tau tables; order_sum and
-divisor_window_count give the order statistics used by the
-geometric-progression experiments.
+up to L, geometric progressions lambda^t, plain intervals.  One Eratosthenes
+prime mask underlies the primes, the von Mangoldt, Mobius, omega and tau
+tables, and the order statistics order_sum and divisor_window_count used by
+the geometric-progression experiments.
 """
 
 from __future__ import annotations
@@ -15,7 +15,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .family import fnv1a_hex
-from .finite_field import factor, mult_order, primitive_root
+from .finite_field import mult_order, primitive_root
 
 
 @dataclass(frozen=True)
@@ -60,32 +60,21 @@ def product_residues(U, V, p: int) -> ParamSet:
 
 
 def primes_upto(L: int) -> ParamSet:
-    """All primes <= L by a segmented sieve."""
+    """All primes <= L."""
     if L < 2:
         raise ValueError("L must be >= 2")
-    return ParamSet("primes", tuple(_segmented_sieve(L)), f"primes:L={L}")
+    return ParamSet("primes", tuple(np.flatnonzero(_prime_mask(L)).tolist()), f"primes:L={L}")
 
 
-def _segmented_sieve(L: int, segment: int = 1 << 18) -> list[int]:
-    root = math.isqrt(L)
-    base = np.ones(root + 1, dtype=bool)
-    base[:2] = False
-    for q in range(2, math.isqrt(root) + 1):
-        if base[q]:
-            base[q * q::q] = False
-    small = np.flatnonzero(base)
-    primes = [int(q) for q in small]
-    lo = root + 1
-    while lo <= L:
-        hi = min(lo + segment - 1, L)
-        seg = np.ones(hi - lo + 1, dtype=bool)
-        for q in small:
-            start = max(q * q, ((lo + q - 1) // q) * q)
-            if start <= hi:
-                seg[start - lo::q] = False
-        primes.extend(int(v) for v in np.flatnonzero(seg) + lo)
-        lo = hi + 1
-    return primes
+def _prime_mask(n: int) -> np.ndarray:
+    """Sieve of Eratosthenes: mask[k] is True exactly for the primes k <= n."""
+    n = max(n, 1)  # no primes below 2; keeps isqrt off negative n
+    mask = np.ones(n + 1, dtype=bool)
+    mask[:2] = False
+    for q in range(2, math.isqrt(n) + 1):
+        if mask[q]:
+            mask[q * q::q] = False
+    return mask
 
 
 def geometric(lam: int, T: int, p: int) -> ParamSet:
@@ -133,31 +122,21 @@ def sieve_arith(L: int) -> ArithTables:
     mu = np.zeros(L + 1, dtype=np.int8)
     omega = np.zeros(L + 1, dtype=np.int16)
     tau = np.zeros(L + 1, dtype=np.int64)
-    mu[1] = 1
-    tau[1:] = 1  # divisor d = 1
-    for d in range(2, L + 1):
-        tau[d::d] += 1
-    is_comp = np.zeros(L + 1, dtype=bool)
-    for q in range(2, L + 1):
-        if is_comp[q]:
-            continue
-        is_comp[q * q::q] = True
+    sqfree = np.ones(L + 1, dtype=bool)
+    for q in np.flatnonzero(_prime_mask(L)).tolist():
         omega[q::q] += 1
+        sqfree[q * q::q * q] = False
         logq = math.log(q)
         qk = q
         while qk <= L:
             lam[qk] = logq
             qk *= q
+    # tau counts the divisor pairs (d, t/d): once at t = d^2, twice when d < t/d
+    for d in range(1, math.isqrt(L) + 1):
+        tau[d * d] += 1
+        tau[d * (d + 1)::d] += 2
     # Mobius: mu(t) = (-1)^omega(t) on squarefree t, else 0
-    t = np.arange(1, L + 1)
-    sqfree = np.ones(L + 1, dtype=bool)
-    q = 2
-    while q * q <= L:
-        if not is_comp[q]:
-            sqfree[q * q::q * q] = False
-        q += 1
-    mu_vals = np.where(sqfree[1:], np.where(omega[1:] % 2 == 0, 1, -1), 0)
-    mu[1:] = mu_vals.astype(np.int8)
+    mu[1:] = np.where(sqfree[1:], np.where(omega[1:] % 2 == 0, 1, -1), 0)
     return ArithTables(L, lam, mu, omega, tau)
 
 
@@ -166,7 +145,7 @@ def order_sum(x: int, lam: int, alpha: float) -> float:
     if abs(lam) <= 1:
         raise ValueError("|lambda| must exceed 1")
     total = 0.0
-    for p in _segmented_sieve(x) if x >= 2 else []:
+    for p in np.flatnonzero(_prime_mask(x)).tolist():
         if lam % p == 0:
             continue
         total += 1.0 / mult_order(lam, p) ** alpha
@@ -174,18 +153,14 @@ def order_sum(x: int, lam: int, alpha: float) -> float:
 
 
 def divisor_window_count(x: int, y: int) -> int:
-    """#{p <= x : some divisor d of p-1 lies in (y, 2y]}, by factoring p-1."""
+    """#{p <= x : some divisor d of p-1 lies in (y, 2y]}."""
     if y < 3:
         raise ValueError("y must be >= 3")
-    count = 0
-    for p in _segmented_sieve(x) if x >= 2 else []:
-        n = p - 1
-        divs = [1]
-        for q, e in factor(n):
-            divs = [d * q**k for d in divs for k in range(e + 1)]
-        if any(y < d <= 2 * y for d in divs):
-            count += 1
-    return count
+    prime = _prime_mask(x)
+    hit = np.zeros(len(prime), dtype=bool)
+    for d in range(y + 1, min(2 * y, x) + 1):
+        hit[1::d] = True  # n = 1 mod d, i.e. d | n - 1
+    return int(np.count_nonzero(hit & prime))
 
 
 def erdos_delta() -> float:

@@ -120,6 +120,11 @@ class TraceCache:
     def __len__(self):
         return len(self._rows) + len(self._pending)
 
+    def keys(self) -> list[tuple[int, int]]:
+        """The (p, t) keys stored in the file or pending a flush."""
+        with self._lock:
+            return [*self._rows, *self._pending]
+
 
 def _complete_length(fd: int, size: int, chunk: int = 4096) -> int:
     """Length of the file up to and including its last newline."""

@@ -2,6 +2,7 @@ import json
 import math
 import subprocess
 import sys
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -67,6 +68,20 @@ def test_refused_exit_3(capsys):
     code = run(["verify", "charsum", "--f", "0,1", "--g", "0,1",
                 "-p", "4194319", "--n-max", "1"])
     assert code == 3
+
+
+def test_trace_above_table_limit_refused_before_allocating(capsys):
+    # 8388617 is the first prime above TABLE_LIMIT = 2**23; one int64 array of
+    # that length alone would be 67 MB
+    tracemalloc.start()
+    try:
+        code = run(["trace", "--f", "0,1", "--g", "0,1", "-p", "8388617", "-t", "1"])
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert code == 3
+    assert "8388608" in capsys.readouterr().err
+    assert peak < 4 << 20
 
 
 def test_cache_error_exit_4(tmp_path, capsys):

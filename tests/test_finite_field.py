@@ -7,6 +7,7 @@ from hypothesis import given, strategies as st
 from stlab.errors import RefusedError
 from stlab.finite_field import (
     INDEX_TABLE_LIMIT,
+    TABLE_LIMIT,
     IndexTable,
     PrimeModulus,
     ResidueTable,
@@ -143,6 +144,16 @@ def test_index_table_size_guard():
     assert big > INDEX_TABLE_LIMIT and is_prime(big)
     with pytest.raises(RefusedError):
         IndexTable.build(big)
+
+
+def test_residue_table_size_guard():
+    # admits the largest measured prime and stays above the index-table limit,
+    # so allow_large still reaches past INDEX_TABLE_LIMIT
+    assert 4194301 <= TABLE_LIMIT and INDEX_TABLE_LIMIT < TABLE_LIMIT
+    big = 8388617  # first prime above 2**23
+    assert big > TABLE_LIMIT and is_prime(big)
+    with pytest.raises(RefusedError, match=str(TABLE_LIMIT)):
+        ResidueTable.build(big)
 
 
 def test_character_trivial_and_generator():

@@ -5,7 +5,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from stlab.finite_field import mult_order
+from stlab.finite_field import is_prime, mult_order
 from stlab.param_sets import (
     ArithTables,
     divisor_window_count,
@@ -59,6 +59,12 @@ def test_primes_examples():
         primes_upto(1)
 
 
+def test_primes_against_is_prime():
+    expected = [n for n in range(2, 1001) if is_prime(n)]
+    for L in range(2, 1001):
+        assert primes_upto(L).elements == tuple(q for q in expected if q <= L)
+
+
 def test_primes_against_independent_odd_sieve():
     L = 1_000_000
     # second sieve: odd-only bitset
@@ -105,33 +111,39 @@ def test_sieve_examples():
     assert t.tau[12] == 6
 
 
+def _trial_factor(n):
+    fs = []
+    d = 2
+    while d * d <= n:
+        e = 0
+        while n % d == 0:
+            n //= d
+            e += 1
+        if e:
+            fs.append((d, e))
+        d += 1
+    if n > 1:
+        fs.append((n, 1))
+    return fs
+
+
 def test_sieve_against_trial_division():
-    L = 500
-    t = sieve_arith(L)
-    for n in range(1, L + 1):
-        fs = []
-        m = n
-        d = 2
-        while d * d <= m:
-            e = 0
-            while m % d == 0:
-                m //= d
-                e += 1
-            if e:
-                fs.append((d, e))
-            d += 1
-        if m > 1:
-            fs.append((m, 1))
-        omega = len(fs)
-        tau = np.prod([e + 1 for _, e in fs]) if fs else 1
-        sqfree = all(e == 1 for _, e in fs)
-        assert t.omega[n] == omega
-        assert t.tau[n] == tau
-        assert t.mu[n] == ((-1) ** omega if sqfree else 0)
-        if len(fs) == 1:
-            assert t.lam[n] == pytest.approx(math.log(fs[0][0]))
-        else:
-            assert t.lam[n] == 0.0
+    # small limits hit perfect squares and the ends d(d+1) of the divisor
+    # pairs behind tau at the last index
+    for L in (2, 3, 4, 6, 12, 49, 500):
+        t = sieve_arith(L)
+        assert len(t.tau) == L + 1 and t.tau[0] == 0 and t.mu[0] == 0
+        for n in range(1, L + 1):
+            fs = _trial_factor(n)
+            omega = len(fs)
+            sqfree = all(e == 1 for _, e in fs)
+            assert t.omega[n] == omega, (L, n)
+            assert t.tau[n] == math.prod(e + 1 for _, e in fs), (L, n)
+            assert t.mu[n] == ((-1) ** omega if sqfree else 0), (L, n)
+            if len(fs) == 1:
+                assert t.lam[n] == pytest.approx(math.log(fs[0][0]))
+            else:
+                assert t.lam[n] == 0.0
 
 
 def test_chebyshev_identity():
@@ -156,6 +168,10 @@ def test_order_sum_examples():
     assert order_sum(20, 2, 1.0) == pytest.approx(1.4472222222222222, abs=1e-12)
     assert order_sum(3, 2, 1.0) == pytest.approx(0.5)
     assert order_sum(50, 2, 0.5) > order_sum(50, 2, 1.0)
+    for x in (-5, 0, 1):
+        assert order_sum(x, 2, 1.0) == 0.0
+    assert order_sum(2, 3, 1.0) == 1.0  # ord_2(3) = 1
+    assert order_sum(3, 3, 1.0) == 1.0  # 3 divides lambda
     with pytest.raises(ValueError):
         order_sum(20, 1, 1.0)
 
@@ -164,8 +180,20 @@ def test_divisor_window_examples():
     assert divisor_window_count(20, 3) == 6
     assert divisor_window_count(4, 3) == 0
     assert divisor_window_count(10, 100) == 0
+    for x in (-5, 0, 1, 2, 3):
+        assert divisor_window_count(x, 3) == 0
+    assert divisor_window_count(5, 3) == 1  # 4 | 5 - 1
     with pytest.raises(ValueError):
         divisor_window_count(20, 2)
+
+
+@pytest.mark.parametrize("y", [3, 4, 7, 50, 1000, 5000])
+def test_divisor_window_against_divisor_enumeration(y):
+    # the oracle: enumerate the divisors of p - 1 directly
+    hits = [p for p in range(2, 3001) if is_prime(p)
+            and any((p - 1) % d == 0 for d in range(y + 1, 2 * y + 1))]
+    for x in [*range(-2, 60), 97, 211, 1000, 2017, 3000]:
+        assert divisor_window_count(x, y) == sum(p <= x for p in hits)
 
 
 def test_erdos_delta_value():

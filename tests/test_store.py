@@ -25,6 +25,16 @@ def test_put_get_and_reopen(fam_zz, tmp_path):
         assert cache.get(5, 2) is None
 
 
+def test_keys_cover_stored_and_pending_rows(fam_zz, tmp_path):
+    path = str(tmp_path / "c.txt")
+    with open_cache(path, fam_zz) as cache:
+        cache.put(TraceRecord(5, 1, -3))
+        assert cache.keys() == [(5, 1)]
+    cache = open_cache(path, fam_zz)
+    cache.put(TraceRecord(7, 1, 3))
+    assert sorted(cache.keys()) == [(5, 1), (7, 1)]
+
+
 def test_header_format(fam_zz, tmp_path):
     path = str(tmp_path / "c.txt")
     with open_cache(path, fam_zz) as cache:

@@ -1,4 +1,6 @@
+import ast
 import math
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -137,6 +139,16 @@ def test_hasse_violation_is_an_error_not_an_assert(fam_zz):
         trace(CurveInstance(101, 1, 1), bad)
     with pytest.raises(RuntimeError, match="Hasse"):
         residue_traces(fam_zz, 101, range(1, 10), bad)
+
+
+def test_no_assert_statements_in_src():
+    # python -O strips assert, so every hard check in the package must raise
+    files = sorted((Path(__file__).resolve().parents[1] / "src" / "stlab").rglob("*.py"))
+    assert files
+    found = [f"{f.name}:{node.lineno}" for f in files
+             for node in ast.walk(ast.parse(f.read_text(encoding="utf-8")))
+             if isinstance(node, ast.Assert)]
+    assert found == []
 
 
 @pytest.mark.parametrize("p", PRIMES_TO_43)
