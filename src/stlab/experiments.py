@@ -30,7 +30,7 @@ from .param_sets import (
     subgroup,
 )
 from .sato_tate import Interval, chebyshev_U, mu_st, sym_terms
-from .traces import batch_traces, residue_angles, residue_traces
+from .traces import acos_once, batch_traces, param_array, residue_angles, residue_traces
 
 PRIME2_NOTE = "bracket omits the L^(c/log log L) factor; c is not effective"
 
@@ -187,23 +187,22 @@ def vertical_primes(fam: FamilyPoly, p: int, L: int, iv: Interval) -> VerticalRe
 
 
 def _interval_count_at_prime(fam, p, param_mults, iv, cache):
-    """Weighted (in-interval, good, skipped) for integer parameters at one prime."""
-    records, skipped = batch_traces(p, fam, [t for t, _ in param_mults], cache=cache)
-    mult = dict(param_mults)
+    """Weighted (in-interval, good, skipped) at one prime; param_mults is the
+    pair (parameters, int64 multiplicities) of arrays."""
+    ts, mults = param_mults
+    a, good = batch_traces(p, fam, ts, cache=cache)
     inv = 1.0 / (2.0 * math.sqrt(p))
-    n_in = n_good = 0
-    for rec in records:
-        w = mult[rec.t]
-        n_good += w
-        psi = math.acos(rec.a * inv)
-        if iv.alpha <= psi <= iv.beta:
-            n_in += w
-    n_skip = sum(mult[t] for t in skipped)
-    return n_in, n_good, n_skip
+    psi = acos_once(a, lambda v: v * inv)
+    w = mults[good]
+    n_good = int(w.sum())
+    n_in = int(w[(psi >= iv.alpha) & (psi <= iv.beta)].sum())
+    return n_in, n_good, int(mults.sum()) - n_good
 
 
 def _run_mixed(fam, x, param_mults, iv, cache, threads, keep_per_prime,
                skip_divisors_of: int | None = None):
+    if threads < 1:
+        raise ValueError(f"threads must be >= 1, got {threads}")
     _require_nondeg_global(fam)
     all_primes = primes_upto(int(x)).elements
     skipped = [q for q in (2, 3) if q <= x]
@@ -215,11 +214,13 @@ def _run_mixed(fam, x, param_mults, iv, cache, threads, keep_per_prime,
             skipped.append(p)
             continue
         run_primes.append(p)
+    arrays = (param_array([t for t, _ in param_mults]),
+              np.array([m for _, m in param_mults], dtype=np.int64))
 
     def work(p):
-        return _interval_count_at_prime(fam, p, param_mults, iv, cache)
+        return _interval_count_at_prime(fam, p, arrays, iv, cache)
 
-    if threads and threads > 1:
+    if threads > 1:
         with ThreadPoolExecutor(max_workers=threads) as ex:
             results = list(ex.map(work, run_primes))
     else:

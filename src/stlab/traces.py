@@ -100,6 +100,41 @@ class TraceRecord:
     a: int
 
 
+def param_array(ts) -> np.ndarray:
+    """Integer parameters as an int64 array, or as exact Python ints (dtype
+    object) when one of them leaves int64."""
+    if isinstance(ts, np.ndarray):
+        if ts.dtype in (np.int64, object):
+            return ts
+        ts = ts.tolist()
+    elif not isinstance(ts, (list, tuple, range)):
+        ts = list(ts)
+    try:
+        return np.asarray(ts, dtype=np.int64)
+    except OverflowError:
+        return np.array(ts, dtype=object)
+
+
+def _residues(ts, p: int) -> np.ndarray:
+    """t mod p in [0, p) for every parameter, exact at any size."""
+    return (param_array(ts) % p).astype(np.int64)
+
+
+def acos_once(a: np.ndarray, z_of) -> np.ndarray:
+    """math.acos(z_of(v)) for every trace v in a, evaluated once per distinct v.
+
+    Traces at p take at most 4 sqrt(p) + 1 values, so the loop is short.
+    z_of maps an int64 array elementwise to the doubles the caller forms, so
+    the angles are bit-identical to calling math.acos per trace (np.arccos
+    may differ in the last bit).
+    """
+    lo = int(a.min()) if a.size else 0
+    present = np.flatnonzero(np.bincount(a - lo)) + lo
+    table = np.zeros(int(present[-1]) - lo + 1 if a.size else 0)
+    table[present - lo] = [math.acos(z) for z in z_of(present).tolist()]
+    return table[a - lo]
+
+
 def count_points_naive(c: CurveInstance) -> int:
     """#E(F_p) by exhaustive enumeration (squares table built from scratch).
 
@@ -140,7 +175,7 @@ def residue_traces(fam: FamilyPoly, p: int, ws, tbl: ResidueTable | None = None)
     """
     if tbl is None:
         tbl = ResidueTable.build(p)
-    ws = np.asarray(ws, dtype=np.int64) % p
+    ws = _residues(ws, p)
     good = poly_eval_mod(fam.delta_coeffs, ws, p) != 0
     a_par = poly_eval_mod(fam.f_coeffs, ws, p)
     b_par = poly_eval_mod(fam.g_coeffs, ws, p)
@@ -156,46 +191,34 @@ def residue_traces(fam: FamilyPoly, p: int, ws, tbl: ResidueTable | None = None)
 
 
 def batch_traces(p: int, fam: FamilyPoly, ts, cache=None, skip_bad: bool = True):
-    """One residue-table build, traces for every parameter in ts.
+    """Traces of E(t) at p for every parameter in ts, as arrays.
 
-    Distinct residues t mod p are computed once and reused; the cache (when
-    attached) is consulted per integer parameter and updated with fresh rows.
-    Returns (records, skipped) with records in input order.
+    Parameters are reduced mod p exactly (they may exceed int64) and each
+    distinct residue is traced once.  The cache (when attached) is asked for
+    the first parameter of each residue, one residue table serves the
+    residues it lacks, and every good parameter goes back in one put_many.
+    Returns (a, good): good[i] marks good reduction at ts[i], and a holds the
+    traces of the good parameters in input order.
     """
-    ts = list(ts)
-    res_of = {}
-    for t in ts:
-        res_of.setdefault(t % p, []).append(t)
-
-    trace_by_res: dict[int, int | None] = {}
-    pending = []
-    for w, group in res_of.items():
-        hit = cache.get(p, group[0]) if cache is not None else None
-        if hit is not None:
-            trace_by_res[w] = hit
-        else:
-            pending.append(w)
-
-    if pending:
-        tbl = ResidueTable.build(p)
-        a_vec, good = residue_traces(fam, p, pending, tbl)
-        for i, w in enumerate(pending):
-            trace_by_res[w] = int(a_vec[i]) if good[i] else None
-    # residues resolved from cache are good by construction (cache holds traces only)
-
-    records, skipped = [], []
-    for t in ts:
-        a = trace_by_res[t % p]
-        if a is None:
-            if not skip_bad:
-                raise ValueError(f"bad reduction at t={t} mod p={p}")
-            skipped.append(t)
-        else:
-            records.append(TraceRecord(p, t, a))
+    ts = param_array(ts)
+    ws, first, where = np.unique(_residues(ts, p), return_index=True, return_inverse=True)
     if cache is not None:
-        for rec in records:
-            cache.put(rec)
-    return records, skipped
+        a_w, good_w = cache.lookup(p, ts[first])
+    else:
+        a_w, good_w = np.zeros(len(ws), dtype=np.int64), np.zeros(len(ws), dtype=bool)
+    pending = np.flatnonzero(~good_w)  # a cached row is good by construction
+    if pending.size:
+        tbl = ResidueTable.build(p)
+        a_pend, good_pend = residue_traces(fam, p, ws[pending], tbl)
+        a_w[pending] = a_pend
+        good_w[pending] = good_pend
+    good = good_w[where]
+    if not skip_bad and not good.all():
+        raise ValueError(f"bad reduction at t={ts[np.argmin(good)]} mod p={p}")
+    a = a_w[where[good]]
+    if cache is not None and a.size:
+        cache.put_many(p, ts[good], a)
+    return a, good
 
 
 def angle(rec: TraceRecord) -> float:
@@ -210,13 +233,10 @@ def residue_angles(fam: FamilyPoly, p: int, params, tbl: ResidueTable | None = N
 
     params may repeat (multiset semantics); each distinct residue is traced once.
     """
-    ws, where = np.unique(np.array([t % p for t in params], dtype=np.int64),
-                          return_inverse=True)
+    ws, where = np.unique(_residues(params, p), return_inverse=True)
     a_vec, good = residue_traces(fam, p, ws, tbl)
-    z = a_vec / (2.0 * math.sqrt(p))
     psi_of = np.full(len(ws), np.nan)
-    for i in np.flatnonzero(good):
-        psi_of[i] = math.acos(z[i])
+    psi_of[good] = acos_once(a_vec[good], lambda v: v / (2.0 * math.sqrt(p)))
     return psi_of[where], good[where]
 
 

@@ -223,3 +223,11 @@ def test_module_entry_point():
         capture_output=True, text=True)
     assert proc.returncode == 0
     assert json.loads(proc.stdout)["nondeg_global"] == "pass"
+
+
+@pytest.mark.parametrize("threads", ["0", "-2"])
+def test_mixed_threads_below_one_exit_1(capsys, threads):
+    code = run(["experiment", "mixed-product", "--f", "0,1", "--g", "0,1",
+                "-x", "30", "--set-u", "1..3", "--set-v", "1..3", "--threads", threads])
+    assert code == 1
+    assert "threads must be >= 1" in capsys.readouterr().err

@@ -17,7 +17,7 @@ from stlab.family import CurveInstance, build_family, delta_at
 from stlab.finite_field import IndexTable, character_eval, mult_order
 from stlab.param_sets import primes_upto, subgroup
 from stlab.sato_tate import FULL, Interval, mu_st
-from stlab.traces import count_points_naive
+from stlab.traces import count_points_naive, param_array
 
 IV = Interval(math.pi / 3, 2 * math.pi / 3)
 
@@ -26,15 +26,20 @@ IV = Interval(math.pi / 3, 2 * math.pi / 3)
 # oracle helpers
 
 
-def psi_naive(p, w, fam):
-    """Angle from the exhaustive point count; None at bad reduction."""
+def trace_naive(p, w, fam):
+    """Trace from the exhaustive point count; None at bad reduction."""
     w %= p
     a = sum(c * w**i for i, c in enumerate(fam.f_coeffs)) % p
     b = sum(c * w**i for i, c in enumerate(fam.g_coeffs)) % p
     if delta_at(fam, w) % p == 0:
         return None
-    n = count_points_naive(CurveInstance(p, a, b))
-    return math.acos((p + 1 - n) / (2 * math.sqrt(p)))
+    return p + 1 - count_points_naive(CurveInstance(p, a, b))
+
+
+def psi_naive(p, w, fam):
+    """Angle from the exhaustive point count; None at bad reduction."""
+    a = trace_naive(p, w, fam)
+    return None if a is None else math.acos(a / (2 * math.sqrt(p)))
 
 
 def sym_quotient(n, theta):
@@ -205,6 +210,35 @@ def test_mixed_primes_against_oracle(fam_zz):
     rep = ex.mixed_primes(fam_zz, x, L, IV)
     assert rep.raw_count == brute_mixed(fam_zz, x, params, IV)
     assert rep.denominator == 25 * len(params)
+
+
+def test_interval_count_matches_the_per_parameter_loop(fam_zz):
+    # the reference is the accumulation one parameter at a time, with
+    # math.acos(a * inv) on the same double as the production path
+    mults = sorted(Counter(u * v for u in range(1, 13) for v in range(1, 13)).items())
+    mults += [(3**k, 2) for k in range(38, 46)]  # past int64 from k = 40
+    arrays = (param_array([t for t, _ in mults]), np.array([m for _, m in mults]))
+
+    def reference(p, iv):
+        inv = 1.0 / (2.0 * math.sqrt(p))
+        want = [0, 0, 0]
+        for t, m in mults:
+            a = trace_naive(p, t, fam_zz)
+            if a is None:
+                want[2] += m
+                continue
+            want[1] += m
+            if iv.alpha <= math.acos(a * inv) <= iv.beta:
+                want[0] += m
+        return tuple(want)
+
+    # an endpoint on the angle of a = 3 at p = 7 (t = 1) as the loop forms it:
+    # a / (2 sqrt 7) gives a double one bit off, which moves the count
+    edge = math.acos(3 * (1.0 / (2.0 * math.sqrt(7))))
+    cases = [(p, IV) for p in primes_upto(300).elements[2:]]
+    cases += [(7, Interval(edge, math.pi)), (7, Interval(0.0, edge))]
+    for p, iv in cases:
+        assert ex._interval_count_at_prime(fam_zz, p, arrays, iv, None) == reference(p, iv)
 
 
 def test_mixed_requires_global_nondeg():

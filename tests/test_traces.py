@@ -62,13 +62,24 @@ def test_trace_matches_naive_exhaustively(p):
             assert trace(c, tbl) == p + 1 - count_points_naive(c)
 
 
+def _records(p, ts, result):
+    """(p, t, a) of the good parameters, and the skipped parameters, from a
+    batch_traces result."""
+    a, good = result
+    ts = list(ts)
+    assert len(good) == len(ts) and len(a) == int(good.sum())
+    kept = [t for t, ok in zip(ts, good) if ok]
+    return ([(p, t, int(x)) for t, x in zip(kept, a)],
+            [t for t, ok in zip(ts, good) if not ok])
+
+
 def test_batch_traces_examples(fam_zz):
-    recs, skipped = batch_traces(5, fam_zz, [1, 6])
-    assert [(r.p, r.t, r.a) for r in recs] == [(5, 1, -3), (5, 6, -3)]
+    recs, skipped = _records(5, [1, 6], batch_traces(5, fam_zz, [1, 6]))
+    assert recs == [(5, 1, -3), (5, 6, -3)]
     assert skipped == []
-    recs, skipped = batch_traces(5, fam_zz, [0])
+    recs, skipped = _records(5, [0], batch_traces(5, fam_zz, [0]))
     assert recs == [] and skipped == [0]
-    recs, skipped = batch_traces(31, fam_zz, [1])
+    recs, skipped = _records(31, [1], batch_traces(31, fam_zz, [1]))
     assert recs == [] and skipped == [1]
     with pytest.raises(ValueError):
         batch_traces(5, fam_zz, [0], skip_bad=False)
@@ -78,9 +89,9 @@ def test_batch_traces_cache_warm_equals_cold(fam_zz, tmp_path):
     path = str(tmp_path / "cache.txt")
     ts = list(range(-3, 12))
     with open_cache(path, fam_zz) as cache:
-        cold, skipped_cold = batch_traces(11, fam_zz, ts, cache=cache)
+        cold, skipped_cold = _records(11, ts, batch_traces(11, fam_zz, ts, cache=cache))
     with open_cache(path, fam_zz) as cache:
-        warm, skipped_warm = batch_traces(11, fam_zz, ts, cache=cache)
+        warm, skipped_warm = _records(11, ts, batch_traces(11, fam_zz, ts, cache=cache))
     assert cold == warm and skipped_cold == skipped_warm
 
 
@@ -94,8 +105,9 @@ def test_angle_examples():
 
 @pytest.mark.parametrize("p", [5, 13, 101, 1009])
 def test_angle_consistency_invariant(fam_zz, p):
-    recs, _ = batch_traces(p, fam_zz, range(min(p, 64)))
-    for rec in recs:
+    ts = range(min(p, 64))
+    recs, _ = _records(p, ts, batch_traces(p, fam_zz, ts))
+    for rec in (TraceRecord(*r) for r in recs):
         psi = angle(rec)
         assert 0.0 <= psi <= math.pi
         assert abs(math.cos(psi) - rec.a / (2 * math.sqrt(p))) <= 1e-12
@@ -208,3 +220,18 @@ def test_smooth_len_is_the_least_5_smooth_bound():
         return n == 1
     for n in range(1, 3000):
         assert _smooth_len(n) == min(m for m in range(n, 2 * n + 1) if smooth(m))
+
+
+@pytest.mark.parametrize("p", [10007, 100003])
+def test_residue_angles_equal_per_residue_acos(fam_zz, p):
+    # oracle: math.acos once per good residue, on the same double
+    params = [*range(p), -1, p + 3, 3 * p]
+    a_vec, good_ref = residue_traces(fam_zz, p, params)
+    z = a_vec / (2.0 * math.sqrt(p))
+    ref = np.full(len(params), np.nan)
+    for i in np.flatnonzero(good_ref):
+        ref[i] = math.acos(z[i])
+    psis, good = residue_angles(fam_zz, p, params)
+    assert np.array_equal(good, good_ref) and not good.all()
+    assert np.isnan(psis[~good]).all()
+    assert np.array_equal(psis, ref, equal_nan=True)
