@@ -206,7 +206,6 @@ def _build_parser() -> argparse.ArgumentParser:
     ch.add_argument("--count", type=int, default=None)
     ch.add_argument("--seed", type=int, default=None)
     ch.add_argument("--subgroup-r", type=int, default=None)
-    ch.add_argument("--allow-large", action="store_true")
 
     exp = sub.add_parser("experiment")
     exp_sub = exp.add_subparsers(dest="subcommand", required=True)
@@ -356,8 +355,7 @@ def _run_charsum(cfg, args, started):
     fam = cfg.fam
     reports = ex.charsum_verify(fam, args.prime, args.n_max, mode=args.mode,
                                 seed=cfg.seed, count=args.count,
-                                subgroup_r=args.subgroup_r,
-                                allow_large=args.allow_large)
+                                subgroup_r=args.subgroup_r)
     worst = max(reports, key=lambda r: r.max_abs / r.bound)
     detail = [{"n": r.n, "max_abs": r.max_abs, "bound": r.bound,
                "worst_character_index": r.worst_character_index} for r in reports]

@@ -19,7 +19,7 @@ import numpy as np
 
 from .errors import NondegeneracyError
 from .family import FamilyPoly, check_nondeg_global, check_nondeg_mod_p, fingerprint_hex
-from .finite_field import IndexTable, mult_order
+from .finite_field import ResidueTable, mult_order, power_table, primitive_root
 from .param_sets import (
     erdos_delta,
     geometric,
@@ -315,8 +315,7 @@ def mixed_primes(fam: FamilyPoly, x: int, L: int, iv: Interval, cache=None,
 
 def charsum_verify(fam: FamilyPoly, p: int, n_max: int, mode: str = "exhaustive",
                    seed: int | None = None, count: int | None = None,
-                   subgroup_r: int | None = None,
-                   allow_large: bool = False) -> list[CharSumReport]:
+                   subgroup_r: int | None = None) -> list[CharSumReport]:
     """max over characters chi of |sum_w sym_n(psi(E(w))) chi(w)| versus the
     exact bound (n+1) deg(delta) sqrt(p).
 
@@ -327,19 +326,18 @@ def charsum_verify(fam: FamilyPoly, p: int, n_max: int, mode: str = "exhaustive"
     _require_nondeg_mod_p(fam, p)
     if n_max < 1:
         raise ValueError("n_max must be >= 1")
-    tbl = IndexTable.build(p, allow_large=allow_large)
+    tbl = ResidueTable.build(p)  # refuses p above TABLE_LIMIT before any O(p) array
 
     if subgroup_r is None:
         # order all of F_p* by index: w_of[z] = g^z
-        w_of = np.empty(p - 1, dtype=np.int64)
-        w_of[tbl.ind[1:]] = np.arange(1, p, dtype=np.int64)
+        w_of = power_table(primitive_root(p), p)
         period = p - 1
     else:
         pset = subgroup(p, subgroup_r)
         w_of = np.array(pset.elements, dtype=np.int64)  # h^i in index order
         period = subgroup_r
 
-    a_vec, good = residue_traces(fam, p, w_of)
+    a_vec, good = residue_traces(fam, p, w_of, tbl)
     z = a_vec / (2.0 * math.sqrt(p))
     mask = good.astype(np.float64)
     bound_unit = fam.deg_delta * math.sqrt(p)

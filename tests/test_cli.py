@@ -65,8 +65,9 @@ def test_sums_degree_below_one_exit_1(capsys):
 
 
 def test_refused_exit_3(capsys):
+    # 8388617 is the first prime above TABLE_LIMIT = 2**23
     code = run(["verify", "charsum", "--f", "0,1", "--g", "0,1",
-                "-p", "4194319", "--n-max", "1"])
+                "-p", "8388617", "--n-max", "1"])
     assert code == 3
 
 

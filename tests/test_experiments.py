@@ -14,7 +14,13 @@ import pytest
 from stlab import experiments as ex
 from stlab.errors import NondegeneracyError
 from stlab.family import CurveInstance, build_family, delta_at
-from stlab.finite_field import IndexTable, character_eval, mult_order
+from stlab.finite_field import (
+    IndexTable,
+    character_eval,
+    mult_order,
+    power_table,
+    primitive_root,
+)
 from stlab.param_sets import primes_upto, subgroup
 from stlab.sato_tate import FULL, Interval, mu_st
 from stlab.traces import count_points_naive, param_array
@@ -299,6 +305,32 @@ def test_charsum_subgroup_matches_double_loop(fam_zz):
     assert rep.max_abs == pytest.approx(max(mags), abs=1e-9)
     assert rep.max_abs <= rep.bound + 1e-6
     assert rep.subgroup_r == r
+
+
+def test_charsum_orders_by_power_table_not_index_table(fam_zz, monkeypatch):
+    # the exhaustive order w_of[z] = g^z is the power table of the primitive
+    # root, so charsum never needs the discrete-log table
+    for p in (5, 7, 101, 1009, 10007):
+        ind = IndexTable.build(p).ind
+        assert np.array_equal(ind[power_table(primitive_root(p), p)], np.arange(p - 1))
+
+    def fail(*args, **kw):
+        raise AssertionError("an index table was built")
+    monkeypatch.setattr(IndexTable, "build", fail)
+    # reports of the discrete-log ordering, recorded before it was replaced
+    expected = {
+        None: [(31.79624177603821, 0), (62.03642697334027, 562), (83.86721519614284, 406)],
+        504: [(31.79624177603821, 0), (58.714334424806815, 37), (58.00776696704412, 98)],
+        36: [(11.671629879118852, 4), (12.537165510406343, 18), (12.92102972732513, 14)],
+    }
+    for r, rows in expected.items():
+        reports = ex.charsum_verify(fam_zz, 1009, 3, subgroup_r=r)
+        assert [rep.n for rep in reports] == [1, 2, 3]
+        for rep, (max_abs, worst) in zip(reports, rows):
+            assert rep.max_abs == pytest.approx(max_abs, rel=1e-12)
+            assert rep.worst_character_index == worst
+            assert rep.bound == (rep.n + 1) * 3 * math.sqrt(1009)
+            assert rep.subgroup_r == r and rep.mode == "exhaustive"
 
 
 def test_charsum_sampled_mode_deterministic(fam_zz):

@@ -1,5 +1,6 @@
 import math
 import random
+from pathlib import Path
 
 import pytest
 
@@ -39,7 +40,7 @@ def test_header_format(fam_zz, tmp_path):
     path = str(tmp_path / "c.txt")
     with open_cache(path, fam_zz) as cache:
         cache.put(TraceRecord(5, 1, -3))
-    lines = open(path).read().splitlines()
+    lines = Path(path).read_text().splitlines()
     from stlab.family import fingerprint_hex
 
     assert lines[0] == f"# stlab-cache v1 family={fingerprint_hex(fam_zz)}"
@@ -111,7 +112,7 @@ def test_round_trip_many_records(fam_zz, tmp_path):
         for (p, t), a in rows.items():
             assert cache.get(p, t) == a
     # appended rows are sorted ascending (p, t)
-    body = open(path).read().splitlines()[1:]
+    body = Path(path).read_text().splitlines()[1:]
     keys = [(int(r.split(",")[0]), int(r.split(",")[1])) for r in body]
     assert keys == sorted(keys)
 
@@ -122,5 +123,5 @@ def test_append_only_across_sessions(fam_zz, tmp_path):
         cache.put(TraceRecord(5, 1, -3))
     with open_cache(path, fam_zz) as cache:
         cache.put(TraceRecord(7, 1, 3))
-    lines = open(path).read().splitlines()
+    lines = Path(path).read_text().splitlines()
     assert lines[1:] == ["5,1,-3", "7,1,3"]

@@ -12,6 +12,9 @@ from stlab.finite_field import ResidueTable, is_prime
 from stlab.store import open_cache
 from stlab.traces import (
     TraceRecord,
+    _chi_hat,
+    _correlate,
+    _dot_row,
     _smooth_len,
     angle,
     angle_sample,
@@ -163,6 +166,22 @@ def test_no_assert_statements_in_src():
     assert found == []
 
 
+def _rows_by_enumeration(p):
+    """The weights N, M2, M of the three j-class rows (see _table_traces),
+    each with the curve whose trace reads -c[s] (plus -chi(-1) on the twist
+    row) and the shifts s where that curve is nonsingular."""
+    chi = [0] + [1 if pow(x, (p - 1) // 2, p) == 1 else -1 for x in range(1, p)]
+    n0, m2, m = np.zeros(p), np.zeros(p), np.zeros(p)
+    for x in range(p):
+        n0[x ** 3 % p] += 1
+        m2[x * x % p] += chi[x]
+    for w in range(1, p):
+        m[(w - 1) ** 3 * pow(w, -1, p) % p] += chi[w]
+    return [(n0, 0, lambda s: (0, s), range(1, p)),
+            (m2, 0, lambda s: (s, 0), range(1, p)),
+            (m, -chi[p - 1], lambda s: (s, s), [s for s in range(1, p) if (4 * s + 27) % p])]
+
+
 @pytest.mark.parametrize("p", PRIMES_TO_43)
 def test_table_traces_exhaustive_small_primes(p):
     # f = A, g = Z runs every residue through all three rows: A = 0 (j = 0),
@@ -175,33 +194,69 @@ def test_table_traces_exhaustive_small_primes(p):
             c = CurveInstance(p, A, int(w))
             assert a_vec[w] == trace(c, tbl) == p + 1 - count_points_naive(c)
         assert good[1:].all() if A == 0 else good[0]
+    # every row, read at every shift by exact dots and by the FFT correlation
+    chi2 = np.concatenate((tbl.leg, tbl.leg[:-1])).astype(np.float64)
+    chi_hat = _chi_hat(tbl.leg, p)
+    for weights, shift, curve, shifts in _rows_by_enumeration(p):
+        by_dots = _dot_row(weights, chi2, np.arange(p), p)
+        by_fft = _correlate(weights, *chi_hat, p)
+        assert by_dots.dtype == by_fft.dtype == np.int64
+        for s in shifts:
+            c = CurveInstance(p, *curve(s))
+            assert shift - by_dots[s] == shift - by_fft[s] == trace(c, tbl) \
+                == p + 1 - count_points_naive(c)
 
 
 @given(st.sampled_from(PRIMES_TO_2000),
        st.lists(st.integers(min_value=-50, max_value=50), min_size=1, max_size=4),
        st.lists(st.integers(min_value=-50, max_value=50), min_size=1, max_size=4),
-       st.lists(st.integers(min_value=0, max_value=10**6), min_size=1, max_size=40))
+       st.data())
 @settings(max_examples=80)
-def test_table_traces_match_direct_sum(p, fc, gc, ts):
+def test_table_traces_match_direct_sum(p, fc, gc, data):
+    # 1 to p parameters put a row's distinct shifts on both sides of the
+    # dot/FFT crossover (_few_shifts)
+    n = data.draw(st.integers(min_value=1, max_value=p), label="n")
+    seed = data.draw(st.integers(min_value=0, max_value=2**32 - 1), label="seed")
+    ts = np.random.default_rng(seed).integers(0, 10**6, size=n).tolist()
     if not any(fc) and not any(gc):
         fc = [1]
     fam = build_family(fc, gc)
     tbl = ResidueTable.build(p)
     a_vec, good = residue_traces(fam, p, ts, tbl)
+    direct = {}
     for t, a, ok in zip(ts, a_vec, good):
         if not ok:
             continue
-        c = CurveInstance(p, poly_eval_mod(fam.f_coeffs, t, p), poly_eval_mod(fam.g_coeffs, t, p))
-        assert a == trace(c, tbl)
-        if p <= 101:
-            assert a == p + 1 - count_points_naive(c)
+        ab = (poly_eval_mod(fam.f_coeffs, t, p), poly_eval_mod(fam.g_coeffs, t, p))
+        if ab not in direct:
+            c = CurveInstance(p, *ab)
+            direct[ab] = trace(c, tbl)
+            if p <= 101:
+                assert direct[ab] == p + 1 - count_points_naive(c)
+        assert a == direct[ab]
 
 
 def test_table_traces_refuse_an_inexact_correlation(fam_zz, monkeypatch):
+    # every residue makes the twist row dense, so it takes the FFT route
     irfft = np.fft.irfft
     monkeypatch.setattr(np.fft, "irfft", lambda *args, **kw: irfft(*args, **kw) + 0.3)
     with pytest.raises(RuntimeError, match="not integral"):
-        residue_traces(fam_zz, 101, range(1, 10))
+        residue_traces(fam_zz, 101, range(101))
+
+
+def test_sparse_rows_are_read_without_the_fft(fam_zz, monkeypatch):
+    # 60 geometric residues at p = 10007 are read by exact dots alone
+    p = 10007
+    ts = [2 ** k for k in range(1, 61)]
+    tbl = ResidueTable.build(p)
+
+    def fail(*args, **kw):
+        raise AssertionError("an FFT row was built")
+    monkeypatch.setattr(np.fft, "rfft", fail)
+    a_vec, good = residue_traces(fam_zz, p, ts, tbl)
+    assert good.all()
+    for t, a in zip(ts, a_vec):
+        assert a == trace(CurveInstance(p, t % p, t % p), tbl)
 
 
 def test_no_table_built_without_a_good_residue(fam_zz, monkeypatch):
