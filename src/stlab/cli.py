@@ -14,7 +14,6 @@ import math
 import os
 import sys
 import time
-from dataclasses import dataclass
 
 import numpy as np
 
@@ -31,48 +30,14 @@ from .param_sets import (
     product_residues,
     subgroup,
 )
-from .family import FamilyPoly
 from .sato_tate import AngleSample, Interval, discrepancy_report, mu_st
 from .store import open_cache
 from .traces import TraceRecord, angle, angle_sample, trace
 
 
-@dataclass
-class RunConfig:
-    """Validated run parameters shared by the command handlers.
-
-    The interval and family are parsed (and therefore checked) before any
-    dispatch; the cache path honours the STLAB_CACHE override.
-    """
-
-    command: str
-    fam: FamilyPoly | None
-    interval: Interval
-    threads: int
-    cache_path: str | None
-    csv_path: str | None
-    svg_path: str | None
-    seed: int | None
-
-    @classmethod
-    def from_args(cls, args) -> "RunConfig":
-        fam = None
-        if getattr(args, "f", None) is not None:
-            fam = build_family(_parse_coeffs(args.f), _parse_coeffs(args.g))
-        command = args.command
-        if getattr(args, "subcommand", None):
-            command += " " + args.subcommand
-        cache = os.environ.get("STLAB_CACHE") or getattr(args, "cache", None)
-        return cls(
-            command=command,
-            fam=fam,
-            interval=Interval(getattr(args, "alpha", 0.0), getattr(args, "beta", math.pi)),
-            threads=getattr(args, "threads", os.cpu_count() or 1),
-            cache_path=cache,
-            csv_path=getattr(args, "csv", None),
-            svg_path=getattr(args, "svg", None),
-            seed=getattr(args, "seed", None),
-        )
+def _cache_path(args) -> str | None:
+    """The cache file: the STLAB_CACHE override, else --cache."""
+    return os.environ.get("STLAB_CACHE") or getattr(args, "cache", None)
 
 
 def _parse_coeffs(text: str) -> list[int]:
@@ -218,7 +183,7 @@ def _build_parser() -> argparse.ArgumentParser:
             p.add_argument("-p", "--prime", type=int, required=True)
         else:
             p.add_argument("-x", "--xmax", type=int, required=True)
-            p.add_argument("--threads", type=int, default=os.cpu_count() or 1)
+            p.add_argument("--threads", type=int, default=1)  # >= 1; no effect
             p.add_argument("--cache", default=None)
         if name.endswith("subgroup"):
             p.add_argument("-r", "--order", type=int, required=True)
@@ -297,13 +262,13 @@ def _experiment_json(command, fam, params, mu, value, bracket, ratio, detail):
     }
 
 
-def _run_family_check(cfg, started):
-    chk = check_nondeg_global(cfg.fam)
+def _run_family_check(fam, started):
+    chk = check_nondeg_global(fam)
     out = {
         "command": "family check",
-        "family_fingerprint": fingerprint_hex(cfg.fam),
+        "family_fingerprint": fingerprint_hex(fam),
         "nondeg_global": "pass" if chk.ok else "fail",
-        "deg_delta": cfg.fam.deg_delta,
+        "deg_delta": fam.deg_delta,
     }
     if not chk.ok:
         out["reason"] = chk.reason
@@ -311,8 +276,7 @@ def _run_family_check(cfg, started):
     return 0 if chk.ok else 2
 
 
-def _run_trace(cfg, args, started):
-    fam = cfg.fam
+def _run_trace(fam, args, started):
     c = reduce_at(fam, args.param, args.prime)
     rec_a = trace(c, ResidueTable.build(args.prime))
     psi = angle(TraceRecord(args.prime, args.param, rec_a))
@@ -326,17 +290,16 @@ def _run_trace(cfg, args, started):
     return 0
 
 
-def _run_angles(cfg, args, started):
-    fam = cfg.fam
+def _run_angles(fam, args, started):
     p = args.prime
     params, desc = _angles_params(args, p)
     sample = angle_sample(fam, p, params, descriptor=f"fam={fingerprint_hex(fam)}:p={p}:{desc}")
     rep = discrepancy_report(sample)
     rows = emit_histogram(sample, args.bins)
-    if cfg.csv_path:
-        _write_csv(cfg.csv_path, rows)
-    if cfg.svg_path:
-        _write_svg(cfg.svg_path, rows, sample.m)
+    if args.csv:
+        _write_csv(args.csv, rows)
+    if args.svg:
+        _write_svg(args.svg, rows, sample.m)
     _emit({
         "command": "angles",
         "family_fingerprint": fingerprint_hex(fam),
@@ -351,10 +314,9 @@ def _run_angles(cfg, args, started):
     return 0
 
 
-def _run_charsum(cfg, args, started):
-    fam = cfg.fam
+def _run_charsum(fam, args, started):
     reports = ex.charsum_verify(fam, args.prime, args.n_max, mode=args.mode,
-                                seed=cfg.seed, count=args.count,
+                                seed=args.seed, count=args.count,
                                 subgroup_r=args.subgroup_r)
     worst = max(reports, key=lambda r: r.max_abs / r.bound)
     detail = [{"n": r.n, "max_abs": r.max_abs, "bound": r.bound,
@@ -368,11 +330,10 @@ def _run_charsum(cfg, args, started):
     return 0
 
 
-def _run_experiment(cfg, args, started):
-    fam = cfg.fam
-    iv = cfg.interval
+def _run_experiment(fam, iv, args, started):
     name = args.subcommand
-    cache = open_cache(cfg.cache_path, fam) if cfg.cache_path else None
+    cache_path = _cache_path(args)
+    cache = open_cache(cache_path, fam) if cache_path else None
     try:
         if name == "vertical-subgroup":
             rep = ex.vertical_subgroup(fam, args.prime, args.order, iv)
@@ -384,13 +345,13 @@ def _run_experiment(cfg, args, started):
         elif name == "mixed-product":
             rep = ex.mixed_product(fam, args.xmax, _parse_intset(args.set_u),
                                    _parse_intset(args.set_v), iv, cache=cache,
-                                   threads=cfg.threads)
+                                   threads=args.threads)
         elif name == "mixed-geometric":
             rep = ex.mixed_geometric(fam, args.xmax, args.lam, args.length, iv,
-                                     cache=cache, threads=cfg.threads)
+                                     cache=cache, threads=args.threads)
         else:
             rep = ex.mixed_primes(fam, args.xmax, args.limit, iv, cache=cache,
-                                  threads=cfg.threads)
+                                  threads=args.threads)
     finally:
         if cache is not None:
             cache.close()
@@ -424,7 +385,7 @@ def _run_experiment(cfg, args, started):
     return 0
 
 
-def _run_sums(cfg, args, started):
+def _run_sums(fam, args, started):
     if args.subcommand == "orders":
         s = order_sum(args.xmax, args.lam, args.alpha_exp)
         out = {
@@ -437,7 +398,6 @@ def _run_sums(cfg, args, started):
         _emit(out, started)
         return 0
 
-    fam = cfg.fam
     if args.subcommand == "vaughan":
         rep = ex.vaughan_decompose(fam, args.prime, args.limit, K=args.k_cut,
                                    M=args.m_cut, n=args.degree)
@@ -465,13 +425,14 @@ def _run_sums(cfg, args, started):
     return 0
 
 
-def _run_cache_stats(cfg, started):
-    rows = open_cache(cfg.cache_path, cfg.fam).keys()
+def _run_cache_stats(fam, args, started):
+    path = _cache_path(args)
+    rows = open_cache(path, fam).keys()
     primes = sorted({p for p, _ in rows})
     _emit({
         "command": "cache stats",
-        "family_fingerprint": fingerprint_hex(cfg.fam),
-        "path": cfg.cache_path,
+        "family_fingerprint": fingerprint_hex(fam),
+        "path": path,
         "rows": len(rows),
         "distinct_primes": len(primes),
         "p_min": primes[0] if primes else None,
@@ -488,21 +449,25 @@ def run(argv=None) -> int:
     except SystemExit as e:
         return 0 if e.code == 0 else 1
     try:
-        cfg = RunConfig.from_args(args)
+        # the family, then the interval, are checked before any dispatch
+        fam = None
+        if getattr(args, "f", None) is not None:
+            fam = build_family(_parse_coeffs(args.f), _parse_coeffs(args.g))
+        iv = Interval(getattr(args, "alpha", 0.0), getattr(args, "beta", math.pi))
         if args.command == "family":
-            return _run_family_check(cfg, started)
+            return _run_family_check(fam, started)
         if args.command == "trace":
-            return _run_trace(cfg, args, started)
+            return _run_trace(fam, args, started)
         if args.command == "angles":
-            return _run_angles(cfg, args, started)
+            return _run_angles(fam, args, started)
         if args.command == "verify":
-            return _run_charsum(cfg, args, started)
+            return _run_charsum(fam, args, started)
         if args.command == "experiment":
-            return _run_experiment(cfg, args, started)
+            return _run_experiment(fam, iv, args, started)
         if args.command == "sums":
-            return _run_sums(cfg, args, started)
+            return _run_sums(fam, args, started)
         if args.command == "cache":
-            return _run_cache_stats(cfg, started)
+            return _run_cache_stats(fam, args, started)
         return 1
     except NondegeneracyError as e:
         print(f"hypothesis violation: {e}", file=sys.stderr)

@@ -12,7 +12,6 @@ violation is treated as an implementation bug.
 from __future__ import annotations
 
 import math
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 
 import numpy as np
@@ -201,36 +200,32 @@ def _interval_count_at_prime(fam, p, param_mults, iv, cache):
 
 def _run_mixed(fam, x, param_mults, iv, cache, threads, keep_per_prime,
                skip_divisors_of: int | None = None):
+    """Per-prime counts over the primes p <= x, one prime after another.
+    `threads` must be >= 1 and has no other effect: a thread pool over the
+    primes measured slower than this loop."""
     if threads < 1:
         raise ValueError(f"threads must be >= 1, got {threads}")
     _require_nondeg_global(fam)
+    if x < 2:
+        raise ValueError(f"x must be >= 2, got {x}")
     all_primes = primes_upto(int(x)).elements
     skipped = [q for q in (2, 3) if q <= x]
-    run_primes = []
+    arrays = (param_array([t for t, _ in param_mults]),
+              np.array([m for _, m in param_mults], dtype=np.int64))
+    raw = skipped_params = 0
+    per_prime = []
     for p in all_primes:
         if p < 5:
             continue
         if skip_divisors_of is not None and skip_divisors_of % p == 0:
             skipped.append(p)
             continue
-        run_primes.append(p)
-    arrays = (param_array([t for t, _ in param_mults]),
-              np.array([m for _, m in param_mults], dtype=np.int64))
-
-    def work(p):
-        return _interval_count_at_prime(fam, p, arrays, iv, cache)
-
-    if threads > 1:
-        with ThreadPoolExecutor(max_workers=threads) as ex:
-            results = list(ex.map(work, run_primes))
-    else:
-        results = [work(p) for p in run_primes]
-
-    raw = sum(r[0] for r in results)
-    skipped_params = sum(r[2] for r in results)
-    per_prime = tuple((p, r[0], r[1]) for p, r in zip(run_primes, results)) \
-        if keep_per_prime else None
-    return raw, len(all_primes), tuple(skipped), skipped_params, per_prime
+        n_in, n_good, n_bad = _interval_count_at_prime(fam, p, arrays, iv, cache)
+        raw += n_in
+        skipped_params += n_bad
+        per_prime.append((p, n_in, n_good))
+    return (raw, len(all_primes), tuple(skipped), skipped_params,
+            tuple(per_prime) if keep_per_prime else None)
 
 
 def mixed_product(fam: FamilyPoly, x: int, U, V, iv: Interval, cache=None,

@@ -18,13 +18,14 @@ from .errors import RefusedError
 # Witness set making Miller-Rabin deterministic below 3.3 * 10**24.
 _MR_WITNESSES = (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37)
 
-# ind tables take O(p) words; larger p must opt in explicitly.
+# ind tables take O(p) words; larger p are refused.
 INDEX_TABLE_LIMIT = 1 << 22
 
 # Every trace path builds a ResidueTable first, so this one cap refuses a prime
 # before any O(p) array exists.  The trace rows take about 130 bytes per unit
 # of p (557 MB at p = 4194301); at 2**23 that is about 1.1 GB.  The cap lies
-# above INDEX_TABLE_LIMIT so allow_large still admits larger index tables.
+# above INDEX_TABLE_LIMIT, so every prime with an index table also gets a
+# residue table.
 TABLE_LIMIT = 1 << 23
 
 
@@ -80,13 +81,6 @@ def factor(n: int) -> list[tuple[int, int]]:
     return out
 
 
-def mod_pow(base: int, exp: int, p: int) -> int:
-    """base**exp mod p (square-and-multiply)."""
-    if exp < 0:
-        raise ValueError("exponent must be nonnegative")
-    return pow(base, exp, p)
-
-
 def legendre(a: int, p: int) -> int:
     """Legendre symbol (a/p) in {-1, 0, 1} via the Euler criterion."""
     a %= p
@@ -94,20 +88,6 @@ def legendre(a: int, p: int) -> int:
         return 0
     r = pow(a, (p - 1) // 2, p)
     return 1 if r == 1 else -1
-
-
-@dataclass(frozen=True)
-class PrimeModulus:
-    """A checked prime p > 3 together with the factorization of p - 1."""
-
-    p: int
-    p_minus_1_factors: tuple[tuple[int, int], ...]
-
-    @classmethod
-    def make(cls, p: int) -> "PrimeModulus":
-        if p <= 3 or not is_prime(p):
-            raise ValueError(f"{p} is not a prime > 3")
-        return cls(p, tuple(factor(p - 1)))
 
 
 @dataclass(frozen=True)
@@ -185,12 +165,9 @@ class IndexTable:
     ind: np.ndarray
 
     @classmethod
-    def build(cls, p: int, allow_large: bool = False) -> "IndexTable":
-        if p > INDEX_TABLE_LIMIT and not allow_large:
-            raise RefusedError(
-                f"index table for p={p} exceeds the {INDEX_TABLE_LIMIT} limit "
-                "(pass allow_large to override)"
-            )
+    def build(cls, p: int) -> "IndexTable":
+        if p > INDEX_TABLE_LIMIT:
+            raise RefusedError(f"index table for p={p} exceeds the {INDEX_TABLE_LIMIT} limit")
         g = primitive_root(p)
         ind = np.full(p, -1, dtype=np.int64)
         ind[power_table(g, p)] = np.arange(p - 1, dtype=np.int64)

@@ -6,16 +6,15 @@ ascending (p, t) order while holding an advisory lock.  An unterminated final
 line is the torn tail of an interrupted append: readers skip it and the next
 writer truncates it under the lock.
 
-In memory the rows of each prime are a sorted int64 array of t with the
-matching traces, so one prime's parameters are looked up and stored with a
-few numpy calls (`lookup`, `put_many`).  Rows whose p or t leaves int64
-(|t| >= 2^63: high powers in geometric progressions) take an exact side path
-through a dict.
+In memory the rows of each prime are a sorted array of t with the matching
+traces, so one prime's parameters are looked up and stored with a few numpy
+calls (`lookup`, `put_many`).  The t array is int64 until a row of that prime
+leaves int64 (high powers in geometric progressions), and exact Python ints
+(dtype object) from then on.
 """
 
 from __future__ import annotations
 
-import bisect
 import fcntl
 import math
 import os
@@ -32,54 +31,53 @@ _I64 = 1 << 63
 _POW10 = 10 ** np.arange(20, dtype=np.uint64)
 
 
-def _fits(p: int, ts: np.ndarray) -> np.ndarray:
-    """Mask of the parameters whose row (p, t) is held in the int64 arrays."""
-    if not -_I64 < p < _I64:
-        return np.zeros(len(ts), dtype=bool)
-    fits = ts > -_I64
-    if ts.dtype == object:
-        fits &= ts < _I64
-    return fits
+def _alike(x: np.ndarray, y: np.ndarray):
+    """x and y in one dtype: int64 when both are, exact Python ints otherwise."""
+    if x.dtype == y.dtype:
+        return x, y
+    return x.astype(object), y.astype(object)
 
 
 class _Rows:
-    """(p, t) -> a.  Per prime: ascending int64 t and the matching a, with
-    |p|, |t| < 2^63; every other row in the exact dict `big`."""
+    """(p, t) -> a.  Per prime: ascending t (int64, or dtype object once a t
+    leaves int64) and the matching int64 a."""
 
     def __init__(self):
         self.by_p: dict[int, tuple[np.ndarray, np.ndarray]] = {}
-        self.big: dict[tuple[int, int], int] = {}
 
     def __len__(self):
-        return sum(len(t) for t, _ in self.by_p.values()) + len(self.big)
+        return sum(len(t) for t, _ in self.by_p.values())
 
     def keys(self) -> list[tuple[int, int]]:
-        return [(p, t) for p, (ts, _) in self.by_p.items() for t in ts.tolist()] + [*self.big]
+        return [(p, t) for p, (ts, _) in self.by_p.items() for t in ts.tolist()]
 
-    def find(self, p: int, t64: np.ndarray):
-        """(a, hit) for int64 parameters at p; a is 0 where not hit."""
+    def find(self, p: int, ts: np.ndarray):
+        """(a, hit) for the parameters ts at p; a is 0 where not hit."""
         if p not in self.by_p:
-            return np.zeros(len(t64), dtype=np.int64), np.zeros(len(t64), dtype=bool)
-        ts, a = self.by_p[p]
-        i = np.searchsorted(ts, t64)
-        i[i == len(ts)] = 0  # past the end: the key comparison rejects it
-        hit = ts[i] == t64
+            return np.zeros(len(ts), dtype=np.int64), np.zeros(len(ts), dtype=bool)
+        held, a = self.by_p[p]
+        held, ts = _alike(held, ts)
+        i = np.searchsorted(held, ts)
+        i[i == len(held)] = 0  # past the end: the key comparison rejects it
+        hit = held[i] == ts
         return np.where(hit, a[i], 0), hit
 
-    def add(self, p: int, t64: np.ndarray, a: np.ndarray) -> None:
+    def add(self, p: int, ts: np.ndarray, a: np.ndarray) -> None:
         """Insert rows with ascending t, none of them held yet."""
-        if not t64.size:
+        if not ts.size:
             return
+        if ts.dtype == object:
+            ts = param_array(ts.tolist())  # back to int64 when every t fits
         if p in self.by_p:
-            ts, old = self.by_p[p]
-            i = np.searchsorted(ts, t64)
-            t64, a = np.insert(ts, i, t64), np.insert(old, i, a)
-        self.by_p[p] = (t64, a)
+            held, old = self.by_p[p]
+            held, ts = _alike(held, ts)
+            i = np.searchsorted(held, ts)
+            ts, a = np.insert(held, i, ts), np.insert(old, i, a)
+        self.by_p[p] = (ts, a)
 
     def update(self, other: _Rows) -> None:
         for p, (ts, a) in other.by_p.items():
             self.add(p, ts, a)
-        self.big.update(other.big)
 
 
 class TraceCache:
@@ -88,7 +86,7 @@ class TraceCache:
         self.fingerprint = fingerprint
         self._rows = _Rows()
         self._pending = _Rows()
-        self._lock = threading.Lock()  # experiments share one handle across workers
+        self._lock = threading.Lock()  # callers may share one handle across threads
         self._load()
 
     def _load(self):
@@ -112,29 +110,18 @@ class TraceCache:
             rows = _rows_of(_parse_lines(self.path, body))
         self._rows = rows
 
-    def _held(self, p: int, t64: np.ndarray):
-        """(a, hit) over the stored and pending int64 rows; hold the lock."""
-        a_old, hit_old = self._rows.find(p, t64)
-        a_new, hit_new = self._pending.find(p, t64)
+    def _held(self, p: int, ts: np.ndarray):
+        """(a, hit) over the stored and pending rows; hold the lock."""
+        a_old, hit_old = self._rows.find(p, ts)
+        a_new, hit_new = self._pending.find(p, ts)
         return np.where(hit_new, a_new, a_old), hit_old | hit_new
-
-    def _held_big(self, key: tuple[int, int]) -> int | None:
-        return self._rows.big.get(key, self._pending.big.get(key))
 
     def lookup(self, p: int, ts):
         """(a, hit) for the parameters ts at p: hit[i] marks a row stored or
         pending a flush, and a[i] is its trace (0 where not hit)."""
         ts = param_array(ts)
-        small = _fits(p, ts)
-        a = np.zeros(len(ts), dtype=np.int64)
-        hit = np.zeros(len(ts), dtype=bool)
         with self._lock:
-            a[small], hit[small] = self._held(p, ts[small].astype(np.int64))
-            for i in np.flatnonzero(~small):
-                prev = self._held_big((p, ts[i]))
-                if prev is not None:
-                    a[i], hit[i] = prev, True
-        return a, hit
+            return self._held(p, ts)
 
     def put_many(self, p: int, ts, a) -> None:
         """Add the rows (p, ts[i], a[i]).  A row already held must agree and is
@@ -145,31 +132,21 @@ class TraceCache:
         out = np.flatnonzero((a < -lim) | (a > lim))
         if out.size:
             raise CacheError(f"refusing record violating Hasse: p={p}, a={a[out[0]]}")
-        small = _fits(p, ts)
-        t64, a64 = ts[small].astype(np.int64), a[small]
         with self._lock:
-            prev, held = self._held(p, t64)
-            clash = np.flatnonzero(held & (prev != a64))
+            prev, held = self._held(p, ts)
+            clash = np.flatnonzero(held & (prev != a))
             if clash.size:
                 i = clash[0]
-                raise CacheError(f"conflicting trace for ({p},{t64[i]}): {prev[i]} vs {a64[i]}")
-            t64, a64 = t64[~held], a64[~held]
-            new_t, first, where = np.unique(t64, return_index=True, return_inverse=True)
-            new_a = a64[first]
-            clash = np.flatnonzero(new_a[where] != a64)
+                raise CacheError(f"conflicting trace for ({p},{ts[i]}): {prev[i]} vs {a[i]}")
+            ts, a = ts[~held], a[~held]
+            new_t, first, where = np.unique(ts, return_index=True, return_inverse=True)
+            new_a = a[first]
+            clash = np.flatnonzero(new_a[where] != a)
             if clash.size:
                 i = clash[0]
                 raise CacheError(
-                    f"conflicting trace for ({p},{t64[i]}): {new_a[where[i]]} vs {a64[i]}")
-            new_big: dict[tuple[int, int], int] = {}
-            for t, v in zip(ts[~small].tolist(), a[~small].tolist()):
-                prev = self._held_big((p, t))
-                if prev is None:
-                    prev = new_big.setdefault((p, t), v)
-                if prev != v:
-                    raise CacheError(f"conflicting trace for ({p},{t}): {prev} vs {v}")
+                    f"conflicting trace for ({p},{ts[i]}): {new_a[where[i]]} vs {a[i]}")
             self._pending.add(p, new_t, new_a)
-            self._pending.big.update(new_big)
 
     def get(self, p: int, t: int) -> int | None:
         a, hit = self.lookup(p, [t])
@@ -291,44 +268,48 @@ def _parse_lines(path: str, body: str) -> dict[tuple[int, int], int]:
 
 
 def _rows_of(rows: dict[tuple[int, int], int]) -> _Rows:
-    out = _Rows()
     by_p: dict[int, list[tuple[int, int]]] = {}
     for (p, t), a in rows.items():
-        if -_I64 < p < _I64 and -_I64 < t < _I64:
-            by_p.setdefault(p, []).append((t, a))
-        else:
-            out.big[(p, t)] = a
+        by_p.setdefault(p, []).append((t, a))
+    out = _Rows()
     for p, ta in by_p.items():
-        ts, az = np.array(sorted(ta), dtype=np.int64).T
-        out.by_p[p] = (ts.copy(), az.copy())
+        ta.sort()
+        out.by_p[p] = (param_array([t for t, _ in ta]),
+                       np.array([a for _, a in ta], dtype=np.int64))
     return out
 
 
 def _format_rows(rows: _Rows) -> bytes:
     """The lines `p,t,a` of `rows` in ascending (p, t), as f"{p},{t},{a}"
-    writes them."""
+    writes them.  Primes whose rows are all int64 are formatted in one numpy
+    pass; the rows of every other prime are spliced in at their prime."""
     primes = sorted(rows.by_p)
-    sizes = [len(rows.by_p[q][0]) for q in primes]
+    # stored p are >= 0, since the Hasse check refuses every row at p < 0
+    flat = [q for q in primes if rows.by_p[q][0].dtype == np.int64 and q < _I64]
+    cols = [rows.by_p[q] for q in flat]
+    sizes = [len(t) for t, _ in cols]
     empty = [np.zeros(0, dtype=np.int64)]
-    buf, ends = _decimal_lines((np.repeat(np.array(primes, dtype=np.int64), sizes),
-                                np.concatenate(empty + [rows.by_p[q][0] for q in primes]),
-                                np.concatenate(empty + [rows.by_p[q][1] for q in primes])))
-    # big rows go before the int64 rows of their prime when t < 0, after them when t > 0
-    first_row = np.concatenate(([0], np.cumsum(sizes))).tolist()
-    out, done = [], 0
-    for (p, t), a in sorted(rows.big.items()):
-        i = bisect.bisect_left(primes, p)
-        k = first_row[i + 1] if i < len(primes) and primes[i] == p and t > 0 else first_row[i]
+    buf, ends = _decimal_lines((np.repeat(np.array(flat, dtype=np.int64), sizes),
+                                np.concatenate(empty + [t for t, _ in cols]),
+                                np.concatenate(empty + [a for _, a in cols])))
+    in_buf = set(flat)
+    out, done, k = [], 0, 0  # k: the int64 rows before prime q
+    for q in primes:
+        ts, a = rows.by_p[q]
+        if q in in_buf:
+            k += len(ts)
+            continue
         cut = int(ends[k - 1]) if k else 0
-        out += [buf[done:cut].tobytes(), f"{p},{t},{a}\n".encode("ascii")]
+        out += [buf[done:cut].tobytes(),
+                "".join(f"{q},{t},{v}\n" for t, v in zip(ts.tolist(), a.tolist())).encode("ascii")]
         done = cut
     out.append(buf[done:].tobytes())
     return b"".join(out)
 
 
 def _decimal_lines(cols) -> tuple[np.ndarray, np.ndarray]:
-    """ASCII lines `c0,c1,...` of int64 columns with |value| < 2^63, one
-    digit position at a time.  Returns the bytes and each line's end offset."""
+    """ASCII lines `c0,c1,...` of int64 columns, one digit position at a
+    time.  Returns the bytes and each line's end offset."""
     n = len(cols[0])
     fields = []
     width = np.zeros(n, dtype=np.int64)

@@ -235,7 +235,7 @@ def residue_traces(fam: FamilyPoly, p: int, ws, tbl: ResidueTable | None = None)
     return out, good
 
 
-def batch_traces(p: int, fam: FamilyPoly, ts, cache=None, skip_bad: bool = True):
+def batch_traces(p: int, fam: FamilyPoly, ts, cache=None):
     """Traces of E(t) at p for every parameter in ts, as arrays.
 
     Parameters are reduced mod p exactly (they may exceed int64) and each
@@ -258,8 +258,6 @@ def batch_traces(p: int, fam: FamilyPoly, ts, cache=None, skip_bad: bool = True)
         a_w[pending] = a_pend
         good_w[pending] = good_pend
     good = good_w[where]
-    if not skip_bad and not good.all():
-        raise ValueError(f"bad reduction at t={ts[np.argmin(good)]} mod p={p}")
     a = a_w[where[good]]
     if cache is not None and a.size:
         cache.put_many(p, ts[good], a)

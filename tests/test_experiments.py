@@ -5,6 +5,7 @@ count_points_naive, sym values from the sine quotient, arithmetic functions
 from per-integer trial division, characters from character_eval.
 """
 
+import concurrent.futures
 import math
 from collections import Counter
 
@@ -12,6 +13,7 @@ import numpy as np
 import pytest
 
 from stlab import experiments as ex
+from stlab.cli import run
 from stlab.errors import NondegeneracyError
 from stlab.family import CurveInstance, build_family, delta_at
 from stlab.finite_field import (
@@ -256,6 +258,27 @@ def test_mixed_identity_with_per_prime_counts(fam_zz):
     rep = ex.mixed_product(fam_zz, 60, range(1, 5), range(1, 5), IV,
                            keep_per_prime=True)
     assert rep.raw_count == sum(c for _, c, _ in rep.per_prime)
+
+
+def test_mixed_runs_start_no_thread_pool(fam_zz, monkeypatch):
+    def refuse(*args, **kwargs):
+        raise AssertionError("a mixed run started a thread pool")
+
+    monkeypatch.setattr(concurrent.futures, "ThreadPoolExecutor", refuse)
+    monkeypatch.setattr(ex, "ThreadPoolExecutor", refuse, raising=False)
+    one, four = (ex.mixed_product(fam_zz, 200, range(1, 9), range(1, 9), IV,
+                                  threads=t, keep_per_prime=True) for t in (1, 4))
+    assert four == one
+
+
+@pytest.mark.parametrize("command, args", [
+    ("mixed-product", ["--set-u", "1..3", "--set-v", "1..3"]),
+    ("mixed-primes", ["-L", "10"]),
+])
+def test_mixed_x_below_two_exit_1(capsys, command, args):
+    code = run(["experiment", command, "--f", "0,1", "--g", "0,1", "-x", "1", *args])
+    assert code == 1
+    assert "error: x must be >= 2" in capsys.readouterr().err
 
 
 # ---------------------------------------------------------------------------

@@ -9,13 +9,11 @@ from stlab.finite_field import (
     INDEX_TABLE_LIMIT,
     TABLE_LIMIT,
     IndexTable,
-    PrimeModulus,
     ResidueTable,
     character_eval,
     factor,
     is_prime,
     legendre,
-    mod_pow,
     mult_order,
     power_table,
     primitive_root,
@@ -23,15 +21,6 @@ from stlab.finite_field import (
 
 SMALL_PRIMES = [5, 7, 11, 13, 17, 19, 23, 29, 31, 41, 53, 97, 101, 151, 211]
 MEDIUM_PRIMES = [251, 401, 1009, 4999, 9973]
-
-
-def test_mod_pow_examples():
-    assert mod_pow(2, 10, 1009) == 15
-    assert mod_pow(123, 0, 101) == 1
-    # 3 has order 6 mod 7 (primitive), verified by enumeration below
-    assert mod_pow(3, 6, 7) == 1
-    powers = {pow(3, k, 7) for k in range(1, 7)}
-    assert powers == {1, 2, 3, 4, 5, 6}
 
 
 def test_legendre_examples_by_enumeration():
@@ -80,19 +69,6 @@ def test_primitive_root_has_full_order(p):
     assert len({pow(g, k, p) for k in range(p - 1)}) == p - 1
     for h in range(2, g):
         assert len({pow(h, k, p) for k in range(p - 1)}) < p - 1
-
-
-def test_prime_modulus():
-    pm = PrimeModulus.make(1009)
-    prod = 1
-    for q, e in pm.p_minus_1_factors:
-        assert is_prime(q)
-        prod *= q**e
-    assert prod == 1008
-    with pytest.raises(ValueError):
-        PrimeModulus.make(1001)  # 7 * 11 * 13
-    with pytest.raises(ValueError):
-        PrimeModulus.make(3)
 
 
 def test_is_prime_against_trial_division():
@@ -148,7 +124,7 @@ def test_index_table_size_guard():
 
 def test_residue_table_size_guard():
     # admits the largest measured prime and stays above the index-table limit,
-    # so allow_large still reaches past INDEX_TABLE_LIMIT
+    # so every prime with an index table also gets a residue table
     assert 4194301 <= TABLE_LIMIT and INDEX_TABLE_LIMIT < TABLE_LIMIT
     big = 8388617  # first prime above 2**23
     assert big > TABLE_LIMIT and is_prime(big)

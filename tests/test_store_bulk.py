@@ -170,6 +170,38 @@ def test_put_many_keeps_rows_once_and_refuses_whole_batches(fam_zz, tmp_path):
     assert a.tolist() == [6, -5, 0] and hit.tolist() == [True, True, False]
 
 
+def test_big_rows_promote_a_prime_that_holds_int64_rows(fam_zz, tmp_path):
+    # 101 holds int64 rows, stored and pending, when a later batch brings
+    # t = 2^63 and -2^63 - 1; its neighbours keep int64 rows only
+    path = tmp_path / "c.txt"
+    small = [-7, 0, 3, 10**18, -BIG]
+    stored = {(101, t): x for t, x in zip(small, [1, -2, 3, -4, 5])}
+    stored[(97, 2)] = 6
+    later = {(103, -1): -6, (101, 11): 7, (101, BIG): -8, (101, -BIG - 1): 8}
+    with open_cache(str(path), fam_zz) as cache:
+        cache.put_many(101, small, [stored[(101, t)] for t in small])
+        cache.put_many(97, [2], [6])
+        cache.flush()
+        first = path.read_text()
+        cache.put_many(103, [-1], [-6])
+        cache.put_many(101, [11], [7])
+        cache.put_many(101, [BIG, 11, -BIG - 1], [-8, 7, 8])
+        a, hit = cache.lookup(101, small + [11])
+        assert hit.all() and a.tolist() == [stored[(101, t)] for t in small] + [7]
+    text = path.read_text()
+    assert text.startswith(first)
+    assert text[len(first):] == "".join(f"{p},{t},{x}\n" for (p, t), x in sorted(later.items()))
+    body = text.split("\n", 1)[1]
+    want = _parse_lines(str(path), body)
+    assert want == {**stored, **later}
+    cache = open_cache(str(path), fam_zz)
+    assert sorted(cache.keys()) == sorted(want)
+    for (p, t), x in want.items():
+        assert cache.get(p, t) == x
+    a, hit = cache.lookup(101, small)
+    assert hit.all() and a.tolist() == [stored[(101, t)] for t in small]
+
+
 def test_threads_share_one_cache(fam_zz, tmp_path):
     # more workers than cores and a short switch interval: a lost update in
     # lookup / put_many would store a row twice or drop one

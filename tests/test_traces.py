@@ -84,8 +84,6 @@ def test_batch_traces_examples(fam_zz):
     assert recs == [] and skipped == [0]
     recs, skipped = _records(31, [1], batch_traces(31, fam_zz, [1]))
     assert recs == [] and skipped == [1]
-    with pytest.raises(ValueError):
-        batch_traces(5, fam_zz, [0], skip_bad=False)
 
 
 def test_batch_traces_cache_warm_equals_cold(fam_zz, tmp_path):
