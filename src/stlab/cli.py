@@ -277,8 +277,8 @@ def _run_family_check(fam, started):
 
 
 def _run_trace(fam, args, started):
-    c = reduce_at(fam, args.param, args.prime)
-    rec_a = trace(c, ResidueTable.build(args.prime))
+    tbl = ResidueTable.build(args.prime)  # refuses a non-prime or p > 2**23 first
+    rec_a = trace(reduce_at(fam, args.param, args.prime), tbl)
     psi = angle(TraceRecord(args.prime, args.param, rec_a))
     _emit({
         "command": "trace",
@@ -293,7 +293,7 @@ def _run_trace(fam, args, started):
 def _run_angles(fam, args, started):
     p = args.prime
     params, desc = _angles_params(args, p)
-    sample = angle_sample(fam, p, params, descriptor=f"fam={fingerprint_hex(fam)}:p={p}:{desc}")
+    sample = angle_sample(fam, p, params)
     rep = discrepancy_report(sample)
     rows = emit_histogram(sample, args.bins)
     if args.csv:

@@ -17,7 +17,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import NondegeneracyError
-from .family import FamilyPoly, check_nondeg_global, check_nondeg_mod_p, fingerprint_hex
+from .family import FamilyPoly, check_nondeg_global, check_nondeg_mod_p
 from .finite_field import ResidueTable, mult_order, power_table, primitive_root
 from .param_sets import (
     erdos_delta,
@@ -42,7 +42,6 @@ PRIME2_NOTE = "bracket omits the L^(c/log log L) factor; c is not effective"
 class VerticalReport:
     p: int
     set_descriptor: str
-    interval: Interval
     count: int
     m: int
     expected: float
@@ -56,13 +55,12 @@ class VerticalReport:
 class MixedReport:
     x: int
     set_descriptor: str
-    interval: Interval
     normalized_average: float
     mu: float
     deviation: float
     theorem_bracket: float
     raw_count: int
-    denominator: float
+    denominator: int
     pi_x: int
     skipped_primes: tuple[int, ...]
     skipped_params: int
@@ -74,7 +72,6 @@ class MixedReport:
 @dataclass(frozen=True)
 class CharSumReport:
     p: int
-    family: str
     n: int
     mode: str
     max_abs: float
@@ -132,20 +129,13 @@ def _require_degree(n: int):
         raise ValueError(f"sym degree n must be >= 1, got {n}")
 
 
-def _count_interval(psis, good, iv: Interval, weights=None) -> tuple[int, int]:
-    inside = good & (psis >= iv.alpha) & (psis <= iv.beta)
-    if weights is None:
-        return int(inside.sum()), int(good.sum())
-    w = np.asarray(weights)
-    return int(w[inside].sum()), int(w[good].sum())
-
-
-def _vertical_report(fam, p, descriptor, elements, iv, bracket, note="", weights=None):
+def _vertical_report(fam, p, descriptor, elements, iv, bracket, note=""):
     psis, good = residue_angles(fam, p, elements)
-    count, m = _count_interval(psis, good, iv, weights)
+    count = int((good & (psis >= iv.alpha) & (psis <= iv.beta)).sum())
+    m = int(good.sum())
     expected = mu_st(iv) * m
     err = abs(count - expected)
-    return VerticalReport(p, descriptor, iv, count, m, expected, err,
+    return VerticalReport(p, descriptor, count, m, expected, err,
                           bracket, err / bracket, note)
 
 
@@ -198,11 +188,16 @@ def _interval_count_at_prime(fam, p, param_mults, iv, cache):
     return n_in, n_good, int(mults.sum()) - n_good
 
 
-def _run_mixed(fam, x, param_mults, iv, cache, threads, keep_per_prime,
-               skip_divisors_of: int | None = None):
-    """Per-prime counts over the primes p <= x, one prime after another.
-    `threads` must be >= 1 and has no other effect: a thread pool over the
-    primes measured slower than this loop."""
+def _run_mixed(fam, x, params, mults, iv, desc, bracket_of, cache, threads,
+               keep_per_prime, skip_divisors_of: int | None = None,
+               **extra) -> MixedReport:
+    """The mixed report over the primes p <= x, counted one prime after another.
+
+    params carry int multiplicities mults; the denominator is pi(x) times
+    their total.  bracket_of(x) is evaluated once x is checked, and extra
+    holds the report fields one family adds.  `threads` must be >= 1 and
+    has no other effect: a thread pool over the primes measured slower.
+    """
     if threads < 1:
         raise ValueError(f"threads must be >= 1, got {threads}")
     _require_nondeg_global(fam)
@@ -210,8 +205,7 @@ def _run_mixed(fam, x, param_mults, iv, cache, threads, keep_per_prime,
         raise ValueError(f"x must be >= 2, got {x}")
     all_primes = primes_upto(int(x)).elements
     skipped = [q for q in (2, 3) if q <= x]
-    arrays = (param_array([t for t, _ in param_mults]),
-              np.array([m for _, m in param_mults], dtype=np.int64))
+    arrays = (param_array(params), np.array(mults, dtype=np.int64))
     raw = skipped_params = 0
     per_prime = []
     for p in all_primes:
@@ -224,8 +218,13 @@ def _run_mixed(fam, x, param_mults, iv, cache, threads, keep_per_prime,
         raw += n_in
         skipped_params += n_bad
         per_prime.append((p, n_in, n_good))
-    return (raw, len(all_primes), tuple(skipped), skipped_params,
-            tuple(per_prime) if keep_per_prime else None)
+    pi_x = len(all_primes)
+    denom = pi_x * sum(mults)
+    avg = raw / denom
+    mu = mu_st(iv)
+    return MixedReport(x, desc, avg, mu, abs(avg - mu), bracket_of(x), raw, denom,
+                       pi_x, tuple(skipped), skipped_params,
+                       tuple(per_prime) if keep_per_prime else None, **extra)
 
 
 def mixed_product(fam: FamilyPoly, x: int, U, V, iv: Interval, cache=None,
@@ -242,15 +241,11 @@ def mixed_product(fam: FamilyPoly, x: int, U, V, iv: Interval, cache=None,
     for u in U:
         for v in V:
             mults[u * v] = mults.get(u * v, 0) + 1
-    raw, pi_x, skipped, skipped_params, per_prime = _run_mixed(
-        fam, x, sorted(mults.items()), iv, cache, threads, keep_per_prime)
-    denom = pi_x * len(U) * len(V)
-    avg = raw / denom
-    mu = mu_st(iv)
-    bracket = (x / (len(U) * len(V))) ** 0.25
-    desc = f"mixed-product:x={x}:#U={len(U)}:#V={len(V)}"
-    return MixedReport(x, desc, iv, avg, mu, abs(avg - mu), bracket, raw, denom,
-                       pi_x, skipped, skipped_params, per_prime)
+    params, counts = zip(*sorted(mults.items()))
+    size = len(U) * len(V)
+    return _run_mixed(fam, x, params, counts, iv,
+                      f"mixed-product:x={x}:#U={len(U)}:#V={len(V)}",
+                      lambda x: (x / size) ** 0.25, cache, threads, keep_per_prime)
 
 
 def mixed_geometric(fam: FamilyPoly, x: int, lam: int, T: int, iv: Interval,
@@ -267,19 +262,13 @@ def mixed_geometric(fam: FamilyPoly, x: int, lam: int, T: int, iv: Interval,
         raise ValueError("T must be >= 1")
     if x < 3:
         raise ValueError("x must be >= 3")
-    params = [(lam**t, 1) for t in range(1, T + 1)]
-    raw, pi_x, skipped, skipped_params, per_prime = _run_mixed(
-        fam, x, params, iv, cache, threads, keep_per_prime, skip_divisors_of=lam)
-    denom = pi_x * T
-    avg = raw / denom
-    mu = mu_st(iv)
     d = erdos_delta()
-    bracket = math.log(x) ** (-0.75 * d) * math.log(math.log(x)) ** -1.125
-    desc = f"mixed-geom:x={x}:lambda={lam}:T={T}"
-    return MixedReport(x, desc, iv, avg, mu, abs(avg - mu), bracket, raw, denom,
-                       pi_x, skipped, skipped_params, per_prime,
-                       order_sum_half=order_sum(int(x), lam, 0.5),
-                       bracket_note="implied constant depends on lambda")
+    return _run_mixed(fam, x, [lam**t for t in range(1, T + 1)], [1] * T, iv,
+                      f"mixed-geom:x={x}:lambda={lam}:T={T}",
+                      lambda x: math.log(x) ** (-0.75 * d) * math.log(math.log(x)) ** -1.125,
+                      cache, threads, keep_per_prime, skip_divisors_of=lam,
+                      order_sum_half=order_sum(int(x), lam, 0.5),
+                      bracket_note="implied constant depends on lambda")
 
 
 def mixed_primes(fam: FamilyPoly, x: int, L: int, iv: Interval, cache=None,
@@ -291,17 +280,9 @@ def mixed_primes(fam: FamilyPoly, x: int, L: int, iv: Interval, cache=None,
     if L < 3:
         raise ValueError("L must be >= 3")
     ells = primes_upto(L).elements
-    params = [(ell, 1) for ell in ells]
-    raw, pi_x, skipped, skipped_params, per_prime = _run_mixed(
-        fam, x, params, iv, cache, threads, keep_per_prime)
-    denom = pi_x * len(ells)
-    avg = raw / denom
-    mu = mu_st(iv)
-    bracket = x**-0.25 + L ** (-1.0 / 12.0) + L**-0.25 * x**0.25
-    desc = f"mixed-primes:x={x}:L={L}"
-    return MixedReport(x, desc, iv, avg, mu, abs(avg - mu), bracket, raw, denom,
-                       pi_x, skipped, skipped_params, per_prime,
-                       bracket_note=PRIME2_NOTE)
+    return _run_mixed(fam, x, ells, [1] * len(ells), iv, f"mixed-primes:x={x}:L={L}",
+                      lambda x: x**-0.25 + L ** (-1.0 / 12.0) + L**-0.25 * x**0.25,
+                      cache, threads, keep_per_prime, bracket_note=PRIME2_NOTE)
 
 
 # ---------------------------------------------------------------------------
@@ -336,7 +317,6 @@ def charsum_verify(fam: FamilyPoly, p: int, n_max: int, mode: str = "exhaustive"
     z = a_vec / (2.0 * math.sqrt(p))
     mask = good.astype(np.float64)
     bound_unit = fam.deg_delta * math.sqrt(p)
-    fp = fingerprint_hex(fam)
 
     if mode == "exhaustive":
         mode_str = "exhaustive"
@@ -372,8 +352,7 @@ def charsum_verify(fam: FamilyPoly, p: int, n_max: int, mode: str = "exhaustive"
                 val = abs(np.sum(y * np.exp(2j * math.pi * ((s % period) * zs) / period)))
                 if val > max_abs:
                     max_abs, worst = float(val), int(s)
-        reports.append(CharSumReport(p, fp, n, mode_str, max_abs, bound, worst,
-                                     subgroup_r))
+        reports.append(CharSumReport(p, n, mode_str, max_abs, bound, worst, subgroup_r))
     return reports
 
 
@@ -542,14 +521,13 @@ def vaughan_decompose(fam: FamilyPoly, p: int, L: int, K: float | None = None,
                          bracket)
 
 
-def prime_sym_sum(fam: FamilyPoly, p: int, L: int, n: int,
-                  a_hint: float = 1.0, eta_hint: float = 1.0 / 48.0):
+def prime_sym_sum(fam: FamilyPoly, p: int, L: int, n: int):
     """Exact sum over prime parameters l <= L with good reduction.
 
     Returns (value, bracket, prime1_bracket_hint): the first bracket is
     L p^(-1/2) + L^(5/6) + (L p)^(1/2); the second instantiates the
-    non-effective bound n^A pi(L) (1 + p/L)^(1/12) p^(-eta) at hint values
-    and is diagnostic only.
+    non-effective bound n^A pi(L) (1 + p/L)^(1/12) p^(-eta) at the hint
+    values A = 1, eta = 1/48 and is diagnostic only.
     """
     _require_degree(n)
     if L < 2:
@@ -558,7 +536,7 @@ def prime_sym_sum(fam: FamilyPoly, p: int, L: int, n: int,
     ells = primes_upto(L).elements
     value = _sym_over_params(fam, p, ells, n)
     bracket = L / math.sqrt(p) + L ** (5.0 / 6.0) + math.sqrt(L * p)
-    prime1 = n**a_hint * len(ells) * (1.0 + p / L) ** (1.0 / 12.0) * p**-eta_hint
+    prime1 = n**1.0 * len(ells) * (1.0 + p / L) ** (1.0 / 12.0) * p**-(1.0 / 48.0)
     return value, bracket, prime1
 
 

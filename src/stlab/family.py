@@ -12,6 +12,7 @@ from dataclasses import dataclass
 from typing import NamedTuple
 
 from .errors import NondegeneracyError
+from .finite_field import is_prime
 
 _FNV_OFFSET = 0xCBF29CE484222325
 _FNV_PRIME = 0x100000001B3
@@ -158,9 +159,11 @@ def check_nondeg_global(fam: FamilyPoly) -> NondegCheck:
 
 
 def check_nondeg_mod_p(fam: FamilyPoly, p: int) -> NondegCheck:
-    """Same predicate with all coefficients reduced mod p."""
+    """Same predicate with all coefficients reduced mod p, for a prime p > 3."""
     if p <= 3:
         raise ValueError("requires p > 3")
+    if not is_prime(p):
+        raise ValueError(f"{p} is not a prime")
     delta_p = _trim(c % p for c in fam.delta_coeffs)
     if not delta_p:
         return NondegCheck(False, "delta_zero")

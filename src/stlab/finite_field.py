@@ -92,15 +92,10 @@ def legendre(a: int, p: int) -> int:
 
 @dataclass(frozen=True)
 class ResidueTable:
-    """Quadratic-residue table for one prime.
-
-    qr[x] is 1 exactly for the (p-1)/2 nonzero squares; qr[0] stays 0.
-    leg[x] holds the Legendre symbol as int8 (leg[0] = 0), which is the form
-    the trace sweeps consume.
-    """
+    """Quadratic-residue table for one prime: leg[x] is the Legendre symbol
+    as int8, 1 exactly on the (p-1)/2 nonzero squares and leg[0] = 0."""
 
     p: int
-    qr: np.ndarray
     leg: np.ndarray
 
     @classmethod
@@ -110,13 +105,11 @@ class ResidueTable:
         if p > TABLE_LIMIT:
             raise RefusedError(f"residue table for p={p} exceeds the {TABLE_LIMIT} limit")
         x = np.arange(1, p, dtype=np.int64)
-        qr = np.zeros(p, dtype=np.uint8)
-        qr[(x * x) % p] = 1
-        leg = qr.astype(np.int8) * 2 - 1
+        leg = np.full(p, -1, dtype=np.int8)
+        leg[(x * x) % p] = 1
         leg[0] = 0
-        qr.setflags(write=False)
         leg.setflags(write=False)
-        return cls(p, qr, leg)
+        return cls(p, leg)
 
 
 def primitive_root(p: int) -> int:

@@ -20,12 +20,10 @@ from .finite_field import mult_order, primitive_root
 
 @dataclass(frozen=True)
 class ParamSet:
-    """A materialized parameter list; product/geometric kinds keep repeats."""
+    """A materialized parameter list; product and geometric sets keep repeats."""
 
-    kind: str
     elements: tuple[int, ...]
     descriptor: str
-    pairs: tuple[tuple[int, int], ...] | None = None  # provenance for product sets
 
 
 def subgroup(p: int, r: int) -> ParamSet:
@@ -40,30 +38,26 @@ def subgroup(p: int, r: int) -> ParamSet:
     for _ in range(r):
         elems.append(w)
         w = w * h % p
-    return ParamSet("subgroup", tuple(elems), f"subgroup:p={p}:r={r}")
+    return ParamSet(tuple(elems), f"subgroup:p={p}:r={r}")
 
 
 def product_residues(U, V, p: int) -> ParamSet:
-    """Multiset {u*v mod p} over U x V with pair provenance; needs U, V in F_p*."""
+    """Multiset {u*v mod p} over U x V; needs U, V in F_p*."""
     U = [u % p for u in U]
     V = [v % p for v in V]
     if any(u == 0 for u in U) or any(v == 0 for v in V):
         raise ValueError("product sets must avoid 0 mod p")
-    elems, pairs = [], []
-    for u in U:
-        for v in V:
-            elems.append(u * v % p)
-            pairs.append((u, v))
+    elems = tuple(u * v % p for u in U for v in V)
     desc = (f"product:p={p}:U={fnv1a_hex(','.join(map(str, U)))}"
             f":V={fnv1a_hex(','.join(map(str, V)))}")
-    return ParamSet("product", tuple(elems), desc, tuple(pairs))
+    return ParamSet(elems, desc)
 
 
 def primes_upto(L: int) -> ParamSet:
     """All primes <= L."""
     if L < 2:
         raise ValueError("L must be >= 2")
-    return ParamSet("primes", tuple(np.flatnonzero(_prime_mask(L)).tolist()), f"primes:L={L}")
+    return ParamSet(tuple(np.flatnonzero(_prime_mask(L)).tolist()), f"primes:L={L}")
 
 
 def _prime_mask(n: int) -> np.ndarray:
@@ -93,21 +87,20 @@ def geometric(lam: int, T: int, p: int) -> ParamSet:
     for _ in range(T):
         w = w * base % p
         elems.append(w)
-    return ParamSet("geometric", tuple(elems), f"geom:lambda={lam}:T={T}:p={p}")
+    return ParamSet(tuple(elems), f"geom:lambda={lam}:T={T}:p={p}")
 
 
 def interval_params(M: int, N: int) -> ParamSet:
     """Integers M+1 .. M+N."""
     if N < 0:
         raise ValueError("N must be >= 0")
-    return ParamSet("interval", tuple(range(M + 1, M + N + 1)), f"interval:M={M}:N={N}")
+    return ParamSet(tuple(range(M + 1, M + N + 1)), f"interval:M={M}:N={N}")
 
 
 @dataclass(frozen=True)
 class ArithTables:
     """lam = von Mangoldt, mu = Mobius, omega = #prime divisors, tau = #divisors."""
 
-    limit: int
     lam: np.ndarray
     mu: np.ndarray
     omega: np.ndarray
@@ -137,7 +130,7 @@ def sieve_arith(L: int) -> ArithTables:
         tau[d * (d + 1)::d] += 2
     # Mobius: mu(t) = (-1)^omega(t) on squarefree t, else 0
     mu[1:] = np.where(sqfree[1:], np.where(omega[1:] % 2 == 0, 1, -1), 0)
-    return ArithTables(L, lam, mu, omega, tau)
+    return ArithTables(lam, mu, omega, tau)
 
 
 def order_sum(x: int, lam: int, alpha: float) -> float:

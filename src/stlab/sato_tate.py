@@ -33,10 +33,9 @@ FULL = Interval(0.0, math.pi)
 
 @dataclass(frozen=True)
 class AngleSample:
-    """A multiset of angles in [0, pi] with a provenance descriptor."""
+    """A multiset of angles in [0, pi]."""
 
     psis: np.ndarray
-    descriptor: str = ""
 
     def __post_init__(self):
         psis = np.asarray(self.psis, dtype=np.float64)

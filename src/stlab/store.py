@@ -92,8 +92,16 @@ class TraceCache:
     def _load(self):
         if not os.path.exists(self.path):
             return
-        with open(self.path, "r", encoding="ascii") as fh:
-            text = fh.read()
+        try:
+            with open(self.path, "r", encoding="ascii") as fh:
+                text = fh.read()
+        except OSError as e:
+            raise CacheError(f"{self.path}: cannot read: {e.strerror}") from None
+        except UnicodeDecodeError:
+            with open(self.path, "rb") as fh:
+                lines = fh.read().split(b"\n")
+            bad = next(i for i, line in enumerate(lines, 1) if not line.isascii())
+            raise CacheError(f"{self.path}:{bad}: a byte that is not ASCII") from None
         header, newline, rest = text.partition("\n")
         if not newline and (_MAGIC + self.fingerprint).startswith(header):
             return  # empty, or torn inside the first header write
@@ -125,13 +133,15 @@ class TraceCache:
 
     def put_many(self, p: int, ts, a) -> None:
         """Add the rows (p, ts[i], a[i]).  A row already held must agree and is
-        not re-put; a Hasse violation or a disagreement refuses the whole batch."""
+        not re-put; a Hasse violation (at any size) or a disagreement refuses
+        the whole batch."""
         ts = param_array(ts)
-        a = np.asarray(a, dtype=np.int64)
+        a = param_array(a)
         lim = math.isqrt(4 * p) if p >= 0 else -1
         out = np.flatnonzero((a < -lim) | (a > lim))
         if out.size:
             raise CacheError(f"refusing record violating Hasse: p={p}, a={a[out[0]]}")
+        a = a.astype(np.int64, copy=False)
         with self._lock:
             prev, held = self._held(p, ts)
             clash = np.flatnonzero(held & (prev != a))
@@ -153,8 +163,6 @@ class TraceCache:
         return int(a[0]) if hit[0] else None
 
     def put(self, rec: TraceRecord) -> None:
-        if rec.a * rec.a > 4 * rec.p:
-            raise CacheError(f"refusing record violating Hasse: p={rec.p}, a={rec.a}")
         self.put_many(rec.p, [rec.t], [rec.a])
 
     def flush(self) -> None:
@@ -162,18 +170,21 @@ class TraceCache:
         if not len(self._pending):
             return
         text = _format_rows(self._pending)
-        with open(self.path, "a+b") as fh:  # a+: pread needs read access
-            fd = fh.fileno()
-            fcntl.flock(fd, fcntl.LOCK_EX)
-            try:
-                size = _complete_length(fd, os.fstat(fd).st_size)
-                os.ftruncate(fd, size)
-                if size == 0:
-                    fh.write((_MAGIC + self.fingerprint + "\n").encode("ascii"))
-                fh.write(text)
-                fh.flush()
-            finally:
-                fcntl.flock(fd, fcntl.LOCK_UN)
+        try:
+            with open(self.path, "a+b") as fh:  # a+: pread needs read access
+                fd = fh.fileno()
+                fcntl.flock(fd, fcntl.LOCK_EX)
+                try:
+                    size = _complete_length(fd, os.fstat(fd).st_size)
+                    os.ftruncate(fd, size)
+                    if size == 0:
+                        fh.write((_MAGIC + self.fingerprint + "\n").encode("ascii"))
+                    fh.write(text)
+                    fh.flush()
+                finally:
+                    fcntl.flock(fd, fcntl.LOCK_UN)
+        except OSError as e:
+            raise CacheError(f"{self.path}: cannot write: {e.strerror}") from None
         self._rows.update(self._pending)
         self._pending = _Rows()
 

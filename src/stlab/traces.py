@@ -17,7 +17,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import RefusedError
-from .family import CurveInstance, FamilyPoly, fingerprint_hex, poly_eval_mod
+from .family import CurveInstance, FamilyPoly, poly_eval_mod
 from .finite_field import ResidueTable, power_table, primitive_root
 from .sato_tate import AngleSample
 
@@ -271,21 +271,19 @@ def angle(rec: TraceRecord) -> float:
     return math.acos(rec.a / (2.0 * math.sqrt(rec.p)))
 
 
-def residue_angles(fam: FamilyPoly, p: int, params, tbl: ResidueTable | None = None):
+def residue_angles(fam: FamilyPoly, p: int, params):
     """Per-parameter (psis, good) arrays in input order, psi NaN at bad reduction.
 
     params may repeat (multiset semantics); each distinct residue is traced once.
     """
     ws, where = np.unique(_residues(params, p), return_inverse=True)
-    a_vec, good = residue_traces(fam, p, ws, tbl)
+    a_vec, good = residue_traces(fam, p, ws)
     psi_of = np.full(len(ws), np.nan)
     psi_of[good] = acos_once(a_vec[good], lambda v: v / (2.0 * math.sqrt(p)))
     return psi_of[where], good[where]
 
 
-def angle_sample(fam: FamilyPoly, p: int, params, descriptor: str = "",
-                 tbl: ResidueTable | None = None) -> AngleSample:
+def angle_sample(fam: FamilyPoly, p: int, params) -> AngleSample:
     """Angles of E(t) for every parameter with good reduction, in input order."""
-    psis, good = residue_angles(fam, p, params, tbl)
-    desc = descriptor or f"fam={fingerprint_hex(fam)}:p={p}"
-    return AngleSample(psis[good], desc)
+    psis, good = residue_angles(fam, p, params)
+    return AngleSample(psis[good])

@@ -1,8 +1,12 @@
+import hashlib
 import json
 import math
+import re
+import shlex
 import subprocess
 import sys
 import tracemalloc
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -85,11 +89,44 @@ def test_trace_above_table_limit_refused_before_allocating(capsys):
     assert peak < 4 << 20
 
 
-def test_cache_error_exit_4(tmp_path, capsys):
+@pytest.mark.parametrize("case", ["bad-header", "missing-dir", "directory", "non-ascii"])
+def test_cache_error_exit_4(case, tmp_path, capsys):
     path = tmp_path / "c.txt"
-    path.write_text("garbage\n")
-    code = run(["cache", "stats", "--cache", str(path), "--f", "0,1", "--g", "0,1"])
+    argv = ["cache", "stats", "--cache", str(path), "--f", "0,1", "--g", "0,1"]
+    if case == "bad-header":
+        path.write_text("garbage\n")
+    elif case == "missing-dir":  # the run computes everything, then cannot write
+        path = tmp_path / "no-such-dir" / "c.txt"
+        argv = ["experiment", "mixed-product", "--f", "0,1", "--g", "0,1", "-x", "30",
+                "--set-u", "1..3", "--set-v", "1..3", "--cache", str(path)]
+    elif case == "directory":
+        path.mkdir()
+    else:
+        path.write_bytes(b"# stlab-cache v1 family=" + b"0" * 16 + b"\n5,1,-3\n5,2,\xe9\n")
+    code = run(argv)
+    captured = capsys.readouterr()
     assert code == 4
+    assert captured.out == ""
+    assert captured.err.startswith(f"cache error: {path}")
+    if case == "non-ascii":
+        assert captured.err.startswith(f"cache error: {path}:3:")
+
+
+@pytest.mark.parametrize("argv", [
+    ["trace", "-p", "0", "-t", "1"],
+    ["trace", "-p", "1", "-t", "1"],
+    ["trace", "-p", "2", "-t", "1"],
+    ["trace", "-p", "4", "-t", "1"],
+    ["trace", "-p", "8", "-t", "1"],
+    ["trace", "-p", "9", "-t", "1"],
+    ["experiment", "vertical-subgroup", "-p", "9", "-r", "2"],
+], ids=lambda argv: f"{argv[0]}-p{argv[argv.index('-p') + 1]}")
+def test_non_prime_modulus_exit_1(argv, capsys):
+    code = run([*argv, "--f", "0,1", "--g", "0,1"])
+    captured = capsys.readouterr()
+    assert code == 1
+    assert captured.out == ""
+    assert "not an odd prime" in captured.err or "not a prime" in captured.err
 
 
 def test_experiment_schema_keys(capsys):
@@ -232,3 +269,154 @@ def test_mixed_threads_below_one_exit_1(capsys, threads):
                 "-x", "30", "--set-u", "1..3", "--set-v", "1..3", "--threads", threads])
     assert code == 1
     assert "threads must be >= 1" in capsys.readouterr().err
+
+
+FAM = ["--f", "0,1", "--g", "0,1"]
+MIXED_CACHE = ["experiment", "mixed-product", *FAM, "-x", "60", "--set-u", "1..4",
+               "--set-v", "2..5", "--alpha", "0.5", "--beta", "2.5", "--cache", "c.txt"]
+
+# Each case runs its commands in order in one empty directory; the digests
+# are sha256 of the reports without runtime_ms and path, recorded at commit
+# 03e1f17, so every later change must keep each report byte for byte.
+REPORT_CASES = {
+    "family-check": [["family", "check", *FAM]],
+    "trace": [["trace", *FAM, "-p", "5", "-t", "1"]],
+    "angles-full": [["angles", *FAM, "-p", "101", "--bins", "12"]],
+    "angles-subgroup": [["angles", *FAM, "-p", "101", "--kind", "subgroup", "-r", "25"]],
+    "angles-product": [["angles", *FAM, "-p", "101", "--kind", "product",
+                        "--set-u", "1..5", "--set-v", "2..6"]],
+    "angles-primes": [["angles", *FAM, "-p", "101", "--kind", "primes", "-L", "200"]],
+    "angles-geometric": [["angles", *FAM, "-p", "101", "--kind", "geometric",
+                          "--lam", "2", "-T", "30"]],
+    "angles-interval": [["angles", *FAM, "-p", "101", "--kind", "interval",
+                         "-M", "3", "-N", "40"]],
+    "charsum-exhaustive": [["verify", "charsum", *FAM, "-p", "101", "--n-max", "3"]],
+    "charsum-subgroup": [["verify", "charsum", *FAM, "-p", "101", "--n-max", "3",
+                          "--subgroup-r", "25"]],
+    "charsum-sampled": [["verify", "charsum", *FAM, "-p", "101", "--n-max", "3",
+                         "--mode", "sampled", "--seed", "7", "--count", "10"]],
+    "vertical-subgroup": [["experiment", "vertical-subgroup", *FAM, "-p", "101", "-r", "50",
+                           "--alpha", "0.5", "--beta", "2.5"]],
+    "vertical-product": [["experiment", "vertical-product", *FAM, "-p", "101",
+                          "--set-u", "1..7", "--set-v", "3..9"]],
+    "vertical-primes": [["experiment", "vertical-primes", *FAM, "-p", "101", "-L", "200"]],
+    "mixed-product-cold-warm": [MIXED_CACHE, MIXED_CACHE],
+    "mixed-geometric": [["experiment", "mixed-geometric", *FAM, "-x", "60", "--lam", "3",
+                         "-T", "60", "--alpha", "1.0", "--beta", "2.0"]],
+    "mixed-primes": [["experiment", "mixed-primes", *FAM, "-x", "60", "-L", "50"]],
+    "sums-vaughan": [["sums", "vaughan", *FAM, "-p", "101", "-L", "300", "-n", "2"]],
+    "sums-mobius": [["sums", "mobius", *FAM, "-p", "101", "-L", "300", "-n", "2"]],
+    "sums-prime-sym": [["sums", "prime-sym", *FAM, "-p", "101", "-L", "300", "-n", "2"]],
+    "sums-orders": [["sums", "orders", "-x", "50", "--lam", "2", "--window-y", "3"]],
+    "cache-stats": [MIXED_CACHE, ["cache", "stats", "--cache", "c.txt", *FAM]],
+}
+
+REPORT_DIGESTS = {
+    "angles-full": [
+        "620b704d9d83d14cb58072392c26d10f507576f946df1ddec2677a6ca9a64d9f",
+    ],
+    "angles-geometric": [
+        "81b0901c279fb8b0b1794e8db3eecc7e7e82a9bf5ce080aadd0130dae369f5e8",
+    ],
+    "angles-interval": [
+        "24f5c07bd8d00e0a15f9747ebc136ea261b1b87b77d22e3712bdd65d39abe1f0",
+    ],
+    "angles-primes": [
+        "281d805e571362f6bc1509bb652399b7aef0e44fa3495a4610e1483b07ce6867",
+    ],
+    "angles-product": [
+        "3fdecc1b7cd1c2dad80d40b4646403fe1a89361554d2e7327f1edb1c3231dc64",
+    ],
+    "angles-subgroup": [
+        "9c6324b509b470a6a96fc01e3d567bd84ca97e7b2caf1c492ae484673d14a946",
+    ],
+    "cache-stats": [
+        "8e8abf24e47130fdb56bdbb276dfa0c41f06bee9c6d8d6c958dfcd525b5a1e06",
+        "9c0d85b41d33a095f708613357793f72f7999e1b918bc79d5be5cf0c931b9ee4",
+    ],
+    "charsum-exhaustive": [
+        "8d25db0d5b0c5582493296c25a022432d4d6d5766b144f1680d77b627c37a076",
+    ],
+    "charsum-sampled": [
+        "e15ca3465094008b2f7b6670e31bce97e77c53c8a3d46b4f61e2b1da772ca215",
+    ],
+    "charsum-subgroup": [
+        "3bd868c3e85f685971cdd0742b4073e19380fa5510d46ef214fc2a58931fbede",
+    ],
+    "family-check": [
+        "908caba04d5136ba85f2ff77771a029e76d5df86eaf8ca77aed7da0735c24037",
+    ],
+    "mixed-geometric": [
+        "392ca8abec320680f3a5ae383a390ca283b8b2e40419da2c1248e4fd5ce863b3",
+    ],
+    "mixed-primes": [
+        "614a249a0346de606380395578904b1bdb0b8f2282921df50ab33cebe54f2c64",
+    ],
+    "mixed-product-cold-warm": [
+        "8e8abf24e47130fdb56bdbb276dfa0c41f06bee9c6d8d6c958dfcd525b5a1e06",
+        "8e8abf24e47130fdb56bdbb276dfa0c41f06bee9c6d8d6c958dfcd525b5a1e06",
+    ],
+    "sums-mobius": [
+        "51d8ddc6bf36f28385af35ea4a6a2c731d229075796b492481fc2b8b2bea0cb9",
+    ],
+    "sums-orders": [
+        "b1393adfbe9c07663724be57a168bbf46d143fc57b2d8751e6031e7708833b84",
+    ],
+    "sums-prime-sym": [
+        "19063d7edf6d905999640decc292c811de04d84d26b569b6a51775edf596716c",
+    ],
+    "sums-vaughan": [
+        "2f995e5c090bbde6f8d71acc59443eb8055cae712a1975da672e3f2f6ca96928",
+    ],
+    "trace": [
+        "e5b2ef4648d669e495424cde2d84542072d7a17484248cfc6339a4706a62e135",
+    ],
+    "vertical-primes": [
+        "504f1fb507e8776ed9638a39f10ff2103c42ca4359a647f881d63fabb66d1f9c",
+    ],
+    "vertical-product": [
+        "ce70ef88df25dd0d1d5a7e270af6cfc622e853e9efb369642965f04e88f9c0d9",
+    ],
+    "vertical-subgroup": [
+        "72189bde1379e32b9b88a8cb2bae0bbe3c38b29b5c0e810920c77554eea022bf",
+    ],
+}
+
+
+def report_digests(argvs, capsys):
+    digests = []
+    for argv in argvs:
+        assert run(argv) == 0
+        obj = json.loads(capsys.readouterr().out)
+        obj.pop("runtime_ms")
+        obj.pop("path", None)
+        digests.append(hashlib.sha256(json.dumps(obj).encode()).hexdigest())
+    return digests
+
+
+@pytest.mark.parametrize("case", sorted(REPORT_CASES))
+def test_report_bytes_pinned(case, tmp_path, capsys, monkeypatch):
+    monkeypatch.chdir(tmp_path)
+    monkeypatch.delenv("STLAB_CACHE", raising=False)
+    assert report_digests(REPORT_CASES[case], capsys) == REPORT_DIGESTS[case]
+
+
+def readme_commands():
+    """The `stlab ...` lines of the README's "Command line" block as argv
+    lists, with the optional `[...]` groups dropped."""
+    text = (Path(__file__).resolve().parents[1] / "README.md").read_text()
+    block = text.split("## Command line", 1)[1].split("```")[1]
+    return [shlex.split(re.sub(r"\[[^\]]*\]", "", line))[1:]
+            for line in block.splitlines() if line.startswith("stlab ")]
+
+
+def test_readme_commands_run(tmp_path, capsys, monkeypatch):
+    monkeypatch.chdir(tmp_path)
+    monkeypatch.delenv("STLAB_CACHE", raising=False)
+    argvs = readme_commands()
+    assert len(argvs) == 15
+    for argv in argvs:
+        assert run(argv) == 0, argv
+        lines = capsys.readouterr().out.splitlines()
+        assert len(lines) == 1, argv
+        json.loads(lines[0])

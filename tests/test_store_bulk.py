@@ -163,6 +163,8 @@ def test_put_many_keeps_rows_once_and_refuses_whole_batches(fam_zz, tmp_path):
                   ([7, 3 * BIG + 1, 3 * BIG + 1], [0, 1, 2]), ([7, 8], [0, 21])]:
         with pytest.raises(CacheError):
             cache.put_many(101, ts, a)
+    with pytest.raises(CacheError, match="Hasse"):  # a trace past int64 too
+        cache.put_many(101, [7, 8], [0, 10**20])
     assert len(cache) == 3  # every refused batch left nothing behind
     cache.close()
     assert path.read_bytes() == first

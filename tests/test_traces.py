@@ -127,13 +127,10 @@ def test_hasse_on_random_families(p, fc, gc):
 
 
 def test_angle_sample_multiset_and_descriptor(fam_zz):
-    s = angle_sample(fam_zz, 5, [1, 6, 3], descriptor="demo")
+    s = angle_sample(fam_zz, 5, [1, 6, 3])
     # t=1 and t=6 share a residue, so their angles coincide
     assert s.m == 3
     assert s.psis[0] == s.psis[1]
-    assert s.descriptor == "demo"
-    default = angle_sample(fam_zz, 5, [1])
-    assert "p=5" in default.descriptor
 
 
 def test_residue_angles_marks_bad_reduction(fam_zz):
@@ -146,8 +143,7 @@ def test_residue_angles_marks_bad_reduction(fam_zz):
 def test_hasse_violation_is_an_error_not_an_assert(fam_zz):
     # a corrupted table (every value a square) gives a = -p; the check must
     # survive python -O, so it cannot be an assert
-    good = ResidueTable.build(101)
-    bad = ResidueTable(101, good.qr, np.ones(101, dtype=np.int8))
+    bad = ResidueTable(101, np.ones(101, dtype=np.int8))
     with pytest.raises(RuntimeError, match="Hasse"):
         trace(CurveInstance(101, 1, 1), bad)
     with pytest.raises(RuntimeError, match="Hasse"):
