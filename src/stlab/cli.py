@@ -276,7 +276,15 @@ def _run_family_check(fam, started):
     return 0 if chk.ok else 2
 
 
+def _refuse_p3(p: int) -> None:
+    """trace and angles refuse p = 3 as every experiment does; p <= 2 and
+    composites are left to the residue table's own refusal."""
+    if p == 3:
+        raise ValueError("requires p > 3")
+
+
 def _run_trace(fam, args, started):
+    _refuse_p3(args.prime)
     tbl = ResidueTable.build(args.prime)  # refuses a non-prime or p > 2**23 first
     rec_a = trace(reduce_at(fam, args.param, args.prime), tbl)
     psi = angle(TraceRecord(args.prime, args.param, rec_a))
@@ -292,6 +300,7 @@ def _run_trace(fam, args, started):
 
 def _run_angles(fam, args, started):
     p = args.prime
+    _refuse_p3(p)
     params, desc = _angles_params(args, p)
     sample = angle_sample(fam, p, params)
     rep = discrepancy_report(sample)

@@ -185,8 +185,14 @@ def mult_order(lam: int, p: int) -> int:
     lam %= p
     if lam == 0:
         raise ValueError("order undefined: p divides lambda")
+    return _order_by_stripping(lam, p, factor(p - 1))
+
+
+def _order_by_stripping(lam: int, p: int, factors) -> int:
+    """ord_p(lam) for lam in [1, p), given p - 1 as (prime, exponent) pairs:
+    start from p - 1 and divide out each prime while lam**r stays 1."""
     r = p - 1
-    for q, e in factor(p - 1):
+    for q, e in factors:
         for _ in range(e):
             if pow(lam, r // q, p) == 1:
                 r //= q

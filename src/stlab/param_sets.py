@@ -3,8 +3,9 @@
 Generators: multiplicative subgroups of F_p*, product multisets U*V, primes
 up to L, geometric progressions lambda^t, plain intervals.  One Eratosthenes
 prime mask underlies the primes, the von Mangoldt, Mobius, omega and tau
-tables, and the order statistics order_sum and divisor_window_count used by
-the geometric-progression experiments.
+tables, and divisor_window_count.  order_sum, the other order statistic of
+the geometric-progression experiments, reads its primes and the
+factorization of each p - 1 from one least-prime-factor table.
 """
 
 from __future__ import annotations
@@ -15,7 +16,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .family import fnv1a_hex
-from .finite_field import mult_order, primitive_root
+from .finite_field import _order_by_stripping, primitive_root
 
 
 @dataclass(frozen=True)
@@ -116,7 +117,9 @@ def sieve_arith(L: int) -> ArithTables:
     omega = np.zeros(L + 1, dtype=np.int16)
     tau = np.zeros(L + 1, dtype=np.int64)
     sqfree = np.ones(L + 1, dtype=bool)
-    for q in np.flatnonzero(_prime_mask(L)).tolist():
+    primes = np.flatnonzero(_prime_mask(L))
+    n_small = int(np.searchsorted(primes, math.isqrt(L), side="right"))
+    for q in primes[:n_small].tolist():
         omega[q::q] += 1
         sqfree[q * q::q * q] = False
         logq = math.log(q)
@@ -124,6 +127,18 @@ def sieve_arith(L: int) -> ArithTables:
         while qk <= L:
             lam[qk] = logq
             qk *= q
+    # A prime q > isqrt(L) has q**2 > L: lam is log q at q alone (math.log of
+    # the exact float(q), since np.log may differ in the last bit), and
+    # sqfree keeps all its multiples.  For each m the multiples m*q of the
+    # big primes q <= L // m are distinct, so one scatter per m adds them all
+    # to omega.  Bertrand puts a big prime in (isqrt(L), L], so big is never
+    # empty.
+    big = primes[n_small:]
+    lam[big] = np.fromiter(map(math.log, big.astype(np.float64)), np.float64, big.size)
+    m = np.arange(1, L // int(big[0]) + 1)
+    ends = np.searchsorted(big, L // m, side="right").tolist()
+    for k, end in zip(m.tolist(), ends):
+        omega[k * big[:end]] += 1
     # tau counts the divisor pairs (d, t/d): once at t = d^2, twice when d < t/d
     for d in range(1, math.isqrt(L) + 1):
         tau[d * d] += 1
@@ -137,12 +152,37 @@ def order_sum(x: int, lam: int, alpha: float) -> float:
     """sum over primes p <= x, p not dividing lam, of 1 / ord_p(lam)^alpha."""
     if abs(lam) <= 1:
         raise ValueError("|lambda| must exceed 1")
+    spf = _least_prime_factors(x)
+    primes = np.flatnonzero(spf == 0)[2:].tolist()  # 0 and 1 are no primes
+    spf = spf.tolist()  # reads from a list are cheaper than numpy scalars
     total = 0.0
-    for p in np.flatnonzero(_prime_mask(x)).tolist():
-        if lam % p == 0:
+    for p in primes:
+        b = lam % p
+        if b == 0:
             continue
-        total += 1.0 / mult_order(lam, p) ** alpha
+        factors = []
+        n = p - 1
+        while n > 1:
+            q = spf[n] or n
+            e = 0
+            while n % q == 0:
+                n //= q
+                e += 1
+            factors.append((q, e))
+        total += 1.0 / _order_by_stripping(b, p, factors) ** alpha
     return total
+
+
+def _least_prime_factors(n: int) -> np.ndarray:
+    """spf[k] is the least prime factor of a composite k <= n, and 0 where k is
+    0, 1 or a prime; the same loop shape as _prime_mask."""
+    n = max(n, 1)
+    spf = np.zeros(n + 1, dtype=np.int32)
+    for q in range(2, math.isqrt(n) + 1):
+        if spf[q] == 0:
+            tail = spf[q * q::q]
+            tail[tail == 0] = q
+    return spf
 
 
 def divisor_window_count(x: int, y: int) -> int:

@@ -87,6 +87,9 @@ class TraceCache:
         self._rows = _Rows()
         self._pending = _Rows()
         self._lock = threading.Lock()  # callers may share one handle across threads
+        folder = os.path.dirname(path) or "."
+        if not os.path.isdir(folder):  # else flush fails only after the whole run
+            raise CacheError(f"{path}: cannot write: {folder} is not a directory")
         self._load()
 
     def _load(self):

@@ -95,7 +95,7 @@ def test_cache_error_exit_4(case, tmp_path, capsys):
     argv = ["cache", "stats", "--cache", str(path), "--f", "0,1", "--g", "0,1"]
     if case == "bad-header":
         path.write_text("garbage\n")
-    elif case == "missing-dir":  # the run computes everything, then cannot write
+    elif case == "missing-dir":  # refused when the cache is opened, before any trace
         path = tmp_path / "no-such-dir" / "c.txt"
         argv = ["experiment", "mixed-product", "--f", "0,1", "--g", "0,1", "-x", "30",
                 "--set-u", "1..3", "--set-v", "1..3", "--cache", str(path)]
@@ -110,6 +110,37 @@ def test_cache_error_exit_4(case, tmp_path, capsys):
     assert captured.err.startswith(f"cache error: {path}")
     if case == "non-ascii":
         assert captured.err.startswith(f"cache error: {path}:3:")
+
+
+@pytest.mark.parametrize("parent", ["missing", "file"])
+def test_cache_dir_refused_before_any_trace(parent, tmp_path, monkeypatch, capsys):
+    def no_traces(*args, **kwargs):
+        raise AssertionError("trace work started before the cache path was checked")
+
+    monkeypatch.setattr("stlab.experiments.batch_traces", no_traces)
+    folder = tmp_path / "d"
+    if parent == "file":
+        folder.write_text("")
+    path = folder / "c.txt"
+    code = run(["experiment", "mixed-product", "--f", "0,1", "--g", "0,1", "-x", "30",
+                "--set-u", "1..3", "--set-v", "1..3", "--cache", str(path)])
+    captured = capsys.readouterr()
+    assert code == 4
+    assert captured.out == ""
+    assert captured.err.startswith(f"cache error: {path}")
+
+
+@pytest.mark.parametrize("argv", [
+    ["trace", "-p", "3", "-t", "1"],
+    ["angles", "-p", "3", "--kind", "full"],
+    ["angles", "-p", "3", "--kind", "subgroup", "-r", "1"],
+], ids=["trace", "angles-full", "angles-subgroup"])
+def test_p3_refused_like_the_experiments(argv, capsys):
+    code = run([*argv, "--f", "0,1", "--g", "0,1"])
+    captured = capsys.readouterr()
+    assert code == 1
+    assert captured.out == ""
+    assert "requires p > 3" in captured.err
 
 
 @pytest.mark.parametrize("argv", [

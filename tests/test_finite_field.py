@@ -10,6 +10,7 @@ from stlab.finite_field import (
     TABLE_LIMIT,
     IndexTable,
     ResidueTable,
+    _order_by_stripping,
     character_eval,
     factor,
     is_prime,
@@ -186,3 +187,13 @@ def test_mult_order_divides_and_minimal(p, lam):
     assert pow(lam, r, p) == 1
     for q, _ in factor(r):
         assert pow(lam, r // q, p) != 1
+
+
+@pytest.mark.parametrize("lam", [2, 3, -1, 10])
+def test_order_by_stripping_matches_mult_order(lam):
+    for p in (p for p in range(2, 2000) if is_prime(p) and lam % p):
+        r, w = 1, lam % p  # the oracle: step through the powers of lam
+        while w != 1:
+            w = w * lam % p
+            r += 1
+        assert _order_by_stripping(lam % p, p, factor(p - 1)) == mult_order(lam, p) == r, p

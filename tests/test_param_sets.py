@@ -1,3 +1,4 @@
+import hashlib
 import math
 from collections import Counter
 
@@ -128,8 +129,10 @@ def _trial_factor(n):
 
 def test_sieve_against_trial_division():
     # small limits hit perfect squares and the ends d(d+1) of the divisor
-    # pairs behind tau at the last index
-    for L in (2, 3, 4, 6, 12, 49, 500):
+    # pairs behind tau at the last index; the larger ones give primes above
+    # isqrt(L) several multiples, and 9408, 9409 = 97**2 and 9506 = 97 * 98
+    # sit on both sides of the point where 97 moves below isqrt(L)
+    for L in (2, 3, 4, 6, 12, 49, 500, 3000, 9408, 9409, 9506):
         t = sieve_arith(L)
         assert len(t.tau) == L + 1 and t.tau[0] == 0 and t.mu[0] == 0
         for n in range(1, L + 1):
@@ -140,9 +143,23 @@ def test_sieve_against_trial_division():
             assert t.tau[n] == math.prod(e + 1 for _, e in fs), (L, n)
             assert t.mu[n] == ((-1) ** omega if sqfree else 0), (L, n)
             if len(fs) == 1:
-                assert t.lam[n] == pytest.approx(math.log(fs[0][0]))
+                assert t.lam[n] == math.log(fs[0][0]), (L, n)
             else:
                 assert t.lam[n] == 0.0
+
+
+def test_sieve_bytes_pinned():
+    # sha256 of the lam, mu, omega and tau bytes at L = 10**6, recorded from
+    # the one-loop-per-prime sieve; the reports of sums vaughan and mobius
+    # read these tables, so any bit that moves shows here first
+    t = sieve_arith(10**6)
+    h = hashlib.sha256()
+    for a in (t.lam, t.mu, t.omega, t.tau):
+        h.update(a.tobytes())
+    assert [a.dtype for a in (t.lam, t.mu, t.omega, t.tau)] == [
+        np.float64, np.int8, np.int16, np.int64]
+    assert h.hexdigest() == (
+        "842947ec4df4e0e039900cac9e167eddebd66c6de3ed4f942e67c6f4c7bb8954")
 
 
 def test_chebyshev_identity():
@@ -173,6 +190,17 @@ def test_order_sum_examples():
     assert order_sum(3, 3, 1.0) == 1.0  # 3 divides lambda
     with pytest.raises(ValueError):
         order_sum(20, 1, 1.0)
+
+
+@pytest.mark.parametrize("x,lam,alpha", [
+    *((20000, lam, alpha) for lam in (2, -6, 30) for alpha in (0.5, 1.0)),
+    *((x, 2, 1.0) for x in (-5, 0, 1, 2, 3)),
+])
+def test_order_sum_against_mult_order(x, lam, alpha):
+    # same primes, same ascending order, so the float sums agree exactly
+    primes = primes_upto(x).elements if x >= 2 else ()
+    expected = sum(1.0 / mult_order(lam, p) ** alpha for p in primes if lam % p)
+    assert order_sum(x, lam, alpha) == expected
 
 
 def test_divisor_window_examples():
