@@ -20,7 +20,7 @@ import numpy as np
 from . import experiments as ex
 from .errors import CacheError, NondegeneracyError, RefusedError
 from .family import build_family, check_nondeg_global, fingerprint_hex, reduce_at
-from .finite_field import ResidueTable
+from .finite_field import ResidueTable, require_odd_prime
 from .param_sets import (
     divisor_window_count,
     geometric,
@@ -225,7 +225,7 @@ def _build_parser() -> argparse.ArgumentParser:
 def _angles_params(args, p):
     kind = args.kind
     if kind == "full":
-        return list(range(p)), "full"
+        return np.arange(p), "full"
     if kind == "subgroup":
         if args.order is None:
             raise ValueError("subgroup kind needs -r")
@@ -276,16 +276,18 @@ def _run_family_check(fam, started):
     return 0 if chk.ok else 2
 
 
-def _refuse_p3(p: int) -> None:
-    """trace and angles refuse p = 3 as every experiment does; p <= 2 and
-    composites are left to the residue table's own refusal."""
+def _require_prime_above_3(p: int) -> None:
+    """trace and angles take an odd prime p > 3, as every experiment does.
+    Checked before any parameter set is built: a subgroup or progression
+    mod a non-prime is undefined."""
+    require_odd_prime(p)
     if p == 3:
         raise ValueError("requires p > 3")
 
 
 def _run_trace(fam, args, started):
-    _refuse_p3(args.prime)
-    tbl = ResidueTable.build(args.prime)  # refuses a non-prime or p > 2**23 first
+    _require_prime_above_3(args.prime)
+    tbl = ResidueTable.build(args.prime)  # refuses p > 2**23 before any O(p) array
     rec_a = trace(reduce_at(fam, args.param, args.prime), tbl)
     psi = angle(TraceRecord(args.prime, args.param, rec_a))
     _emit({
@@ -300,7 +302,7 @@ def _run_trace(fam, args, started):
 
 def _run_angles(fam, args, started):
     p = args.prime
-    _refuse_p3(p)
+    _require_prime_above_3(p)
     params, desc = _angles_params(args, p)
     sample = angle_sample(fam, p, params)
     rep = discrepancy_report(sample)

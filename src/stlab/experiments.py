@@ -18,7 +18,7 @@ import numpy as np
 
 from .errors import NondegeneracyError
 from .family import FamilyPoly, check_nondeg_global, check_nondeg_mod_p
-from .finite_field import ResidueTable, mult_order, power_table, primitive_root
+from .finite_field import ResidueTable, mult_order
 from .param_sets import (
     erdos_delta,
     geometric,
@@ -306,7 +306,7 @@ def charsum_verify(fam: FamilyPoly, p: int, n_max: int, mode: str = "exhaustive"
 
     if subgroup_r is None:
         # order all of F_p* by index: w_of[z] = g^z
-        w_of = power_table(primitive_root(p), p)
+        w_of = tbl.pw
         period = p - 1
     else:
         pset = subgroup(p, subgroup_r)

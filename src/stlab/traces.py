@@ -18,7 +18,7 @@ import numpy as np
 
 from .errors import RefusedError
 from .family import CurveInstance, FamilyPoly, poly_eval_mod
-from .finite_field import ResidueTable, power_table, primitive_root
+from .finite_field import ResidueTable, _mod_inplace
 from .sato_tate import AngleSample
 
 NAIVE_LIMIT = 10_000
@@ -60,13 +60,17 @@ def _correlate(weights, chi_hat, size: int, p: int) -> np.ndarray:
 def _dot_row(weights, chi2, shifts, p: int) -> np.ndarray:
     """c[s] = weights . chi2[s : s + p] for each s in shifts, as exact int64.
 
-    chi2 is chi followed by chi[:-1] (length 2p - 1) as float64, so the slice
-    holds chi(y + s mod p).  Every weight and chi value is an integer of size
-    at most 3 and p <= 2**23, so each partial sum is an integer below 2**53
-    and the float dot product is exact in any summation order.
+    chi2 is chi followed by chi[:-1] (length 2p - 1) as float32, so the slice
+    holds chi(y + s mod p).  The weights are integers and chi is -1, 0 or 1,
+    so while sum |weights| < 2**24 every partial sum is an integer below 2**24
+    and the float32 dot product is exact in any summation order.  Each row of
+    _table_traces has sum |weights| <= p <= 2**23; the bound is checked here.
     """
-    w = np.asarray(weights, dtype=np.float64)
-    return np.array([np.dot(w, chi2[s:s + p]) for s in shifts.tolist()]).astype(np.int64)
+    total = float(np.abs(weights).sum())
+    if not total < 2**24:
+        raise RuntimeError(f"dot row weights sum to {total:.0f} >= 2**24 at p={p} (bug)")
+    w = np.asarray(weights, dtype=np.float32)
+    return np.array([w.dot(chi2[s:s + p]) for s in shifts.tolist()]).astype(np.int64)
 
 
 def _few_shifts(k: int, p: int) -> bool:
@@ -80,8 +84,9 @@ def _few_shifts(k: int, p: int) -> bool:
     return k * (1500 + p / 3) < 40_000 + 10 * p * p.bit_length()
 
 
-def _table_traces(leg, a_arr, b_arr, p: int) -> np.ndarray:
-    """-sum_x chi(x^3 + a x + b) for each (a, b), from at most three rows.
+def _table_traces(tbl: ResidueTable, a_arr, b_arr) -> np.ndarray:
+    """-sum_x chi(x^3 + a x + b) for each (a, b) in [0, p)^2, from at most
+    three rows.
 
     - a = 0: T0[b] = -sum_y N[y] chi(y + b), N[y] = #{x : x^3 = y}.
     - b = 0: T1728[a] = -sum_y M2[y] chi(y + a), M2[y] = sum_{x^2 = y} chi(x).
@@ -90,11 +95,21 @@ def _table_traces(leg, a_arr, b_arr, p: int) -> np.ndarray:
       x = w - 1 turns x^3 + s x + s into w ((w-1)^3 / w + s), hence
       T[s] = -chi(-1) - sum_y M[y] chi(y + s), M[y] = sum_{(w-1)^3/w = y} chi(w).
 
+    The weights are built over w = g^z from the power table pw, with no
+    product mod p and one reduction mod p in all; with h = (p - 1) / 2,
+    - the cubes g^(3z) are pw[::3], each hit three times, when 3 | p - 1, and
+      all of F_p^* once otherwise;
+    - g^k and g^(k+h) are the roots of g^(2k) = pw[2k];
+    - (w-1)^3 / w = w^2 - 3 w + 3 - 1/w, with w^2 = pw[2z mod (p-1)] and
+      1/w = pw[-z mod (p-1)].
+    chi(w) is read from leg, the table every other trace path reads.
+
     Only the rows some curve uses are built.  Each row is a correlation
     c[s] = sum_y W[y] chi(y + s); a row asked for few distinct shifts reads
     them as exact dot products (_dot_row), any other row is one FFT
     correlation (_correlate), and chi's transform is built only for those.
     """
+    p, leg, pw = tbl.p, tbl.leg, tbl.pw
     chi2 = chi_hat = None
 
     def read(weights, shifts):
@@ -104,7 +119,7 @@ def _table_traces(leg, a_arr, b_arr, p: int) -> np.ndarray:
         if _few_shifts(np.count_nonzero(need), p):
             uniq = np.flatnonzero(need)
             if chi2 is None:
-                chi2 = np.concatenate((leg, leg[:-1])).astype(np.float64)
+                chi2 = np.concatenate((leg, leg[:-1])).astype(np.float32)
             c = np.zeros(p, dtype=np.int64)
             c[uniq] = _dot_row(weights, chi2, uniq, p)
         else:
@@ -113,28 +128,42 @@ def _table_traces(leg, a_arr, b_arr, p: int) -> np.ndarray:
             c = _correlate(weights, *chi_hat, p)
         return c[shifts]
 
-    x = np.arange(p, dtype=np.int64)
+    chi_w = leg[pw]  # chi(g^z)
     out = np.empty(len(a_arr), dtype=np.int64)
-    j0 = a_arr == 0
-    j1728 = (b_arr == 0) & ~j0
-    rest = ~(j0 | j1728)
-    if j0.any():
-        n0 = np.bincount(x * x % p * x % p, minlength=p)
-        out[j0] = -read(n0, b_arr[j0])
-    if j1728.any():
-        m2 = np.bincount(x * x % p, weights=leg, minlength=p)
-        out[j1728] = -read(m2, a_arr[j1728])
-    if rest.any():
-        pw = power_table(primitive_root(p), p)
+    ab = a_arr * b_arr % p
+    rest = ab != 0
+    if rest.all():
+        rest = slice(None)  # no j = 0 or j = 1728 curve: skip the masks
+    else:
+        j0 = a_arr == 0
+        j1728 = (b_arr == 0) & ~j0
+        if j0.any():
+            n0 = np.zeros(p, dtype=np.int64)
+            if (p - 1) % 3:
+                n0[1:] = 1
+            else:
+                n0[pw[::3]] = 3
+            n0[0] = 1
+            out[j0] = -read(n0, b_arr[j0])
+        if j1728.any():
+            h = (p - 1) // 2
+            m2 = np.zeros(p)
+            m2[pw[::2]] = chi_w[:h] + chi_w[h:]
+            out[j1728] = -read(m2, a_arr[j1728])
+    a, b, ab = a_arr[rest], b_arr[rest], ab[rest]
+    if ab.size:
+        sq3 = pw[::2] + 3
+        y = np.concatenate((sq3, sq3))
+        y -= 3 * pw
+        y[0] -= 1
+        y[1:] -= pw[:0:-1]
+        m = np.bincount(_mod_inplace(y, p), weights=chi_w, minlength=p)
         inv = np.zeros(p, dtype=np.int64)
-        inv[pw] = np.concatenate((pw[:1], pw[:0:-1]))  # 1/g^z = g^(p-1-z)
-        w = x[1:]
-        u = w - 1
-        m = np.bincount(u * u % p * u % p * inv[w] % p, weights=leg[1:], minlength=p)
-        a, b = a_arr[rest], b_arr[rest]
+        inv[pw[1:]] = pw[:0:-1]  # 1/g^z = g^(p-1-z)
+        inv[1] = 1
         ib = inv[b]
         s = a * a % p * a % p * (ib * ib % p) % p
-        out[rest] = leg[a * b % p] * (-int(leg[p - 1]) - read(m, s))
+        out[rest] = leg[ab] * (-int(leg[p - 1]) - read(m, s))
     return out
 
 
@@ -228,7 +257,7 @@ def residue_traces(fam: FamilyPoly, p: int, ws, tbl: ResidueTable | None = None)
     out = np.zeros(len(ws), dtype=np.int64)
     idx = np.flatnonzero(good)
     if idx.size:
-        out[idx] = _table_traces(tbl.leg, a_par[idx], b_par[idx], p)
+        out[idx] = _table_traces(tbl, a_par[idx], b_par[idx])
         worst = int(np.max(out[idx] * out[idx] - 4 * p))
         if worst > 0:
             raise RuntimeError(f"Hasse violated in trace table at p={p} (bug)")

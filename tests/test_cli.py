@@ -160,6 +160,29 @@ def test_non_prime_modulus_exit_1(argv, capsys):
     assert "not an odd prime" in captured.err or "not a prime" in captured.err
 
 
+ANGLE_KINDS = {
+    "full": [],
+    "subgroup": ["-r", "1"],
+    "product": ["--set-u", "1..3", "--set-v", "1..3"],
+    "primes": ["-L", "50"],
+    "geometric": ["--lam", "2", "-T", "5"],
+    "interval": ["-M", "0", "-N", "10"],
+}
+
+
+@pytest.mark.parametrize("p", ["0", "1", "9"])
+@pytest.mark.parametrize("kind", sorted(ANGLE_KINDS))
+def test_angles_non_prime_refused_before_the_parameter_set(kind, p, capsys):
+    # a subgroup or progression mod a non-prime used to fail inside its
+    # builder (factor requires n >= 1, ZeroDivisionError)
+    code = run(["angles", "--f", "0,1", "--g", "0,1", "-p", p, "--kind", kind,
+                *ANGLE_KINDS[kind]])
+    captured = capsys.readouterr()
+    assert code == 1
+    assert captured.out == ""
+    assert captured.err == f"error: {p} is not an odd prime\n"
+
+
 def test_experiment_schema_keys(capsys):
     code, out = run_json(capsys, [
         "experiment", "vertical-subgroup", "--f", "0,1", "--g", "0,1",

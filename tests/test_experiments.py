@@ -12,17 +12,12 @@ from collections import Counter
 import numpy as np
 import pytest
 
+from oracles import IndexTable, character_eval
 from stlab import experiments as ex
 from stlab.cli import run
 from stlab.errors import NondegeneracyError
 from stlab.family import CurveInstance, build_family, delta_at
-from stlab.finite_field import (
-    IndexTable,
-    character_eval,
-    mult_order,
-    power_table,
-    primitive_root,
-)
+from stlab.finite_field import mult_order, power_table, primitive_root
 from stlab.param_sets import primes_upto, subgroup
 from stlab.sato_tate import FULL, Interval, mu_st
 from stlab.traces import count_points_naive, param_array

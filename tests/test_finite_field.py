@@ -4,14 +4,12 @@ import numpy as np
 import pytest
 from hypothesis import given, strategies as st
 
+from oracles import INDEX_TABLE_LIMIT, IndexTable, character_eval
 from stlab.errors import RefusedError
 from stlab.finite_field import (
-    INDEX_TABLE_LIMIT,
     TABLE_LIMIT,
-    IndexTable,
     ResidueTable,
     _order_by_stripping,
-    character_eval,
     factor,
     is_prime,
     legendre,
@@ -114,6 +112,17 @@ def test_power_table_matches_pow(p):
     pw = power_table(g, p)
     assert pw.dtype == np.int64
     assert pw.tolist() == [pow(g, z, p) for z in range(p - 1)]
+
+
+def test_residue_table_holds_the_power_table():
+    # leg is derived from pw, and every trace path reads both from the table
+    for p in [q for q in range(3, 2000) if is_prime(q)] + [1000003]:
+        tbl = ResidueTable.build(p)
+        assert np.array_equal(tbl.pw, power_table(primitive_root(p), p))
+        with pytest.raises(ValueError):
+            tbl.pw[0] = 2
+        with pytest.raises(ValueError):
+            tbl.leg[0] = 1
 
 
 def test_index_table_size_guard():

@@ -1,8 +1,10 @@
+import math
 import os
 import subprocess
 import sys
 from pathlib import Path
 
+import numpy as np
 import pytest
 
 ROOT = Path(__file__).resolve().parents[1]
@@ -23,5 +25,13 @@ def run_script(name, *args):
 def test_script_prints_one_row_per_prime(name, args):
     proc = run_script(name, *args)
     assert proc.returncode == 0, proc.stderr
-    rows = [line.split()[0] for line in proc.stdout.splitlines()[1:]]
-    assert rows == ["101", "211", "1009"]
+    lines = [line.split() for line in proc.stdout.splitlines()[1:]]
+    if name == "equidistribution_ladder.py":
+        # the last line is the least-squares log-log slope of star against p
+        *lines, (label, slope) = lines
+        assert label == "slope"
+        fit = np.polyfit([math.log(int(row[0])) for row in lines],
+                         [math.log(float(row[2])) for row in lines], 1)[0]
+        assert float(slope) == pytest.approx(fit, abs=1e-3)
+        assert -1 < float(slope) < 0
+    assert [row[0] for row in lines] == ["101", "211", "1009"]

@@ -6,9 +6,11 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from stlab import experiments as ex, finite_field, traces
 from stlab.errors import RefusedError
 from stlab.family import CurveInstance, build_family, poly_eval_mod
 from stlab.finite_field import ResidueTable, is_prime
+from stlab.sato_tate import Interval
 from stlab.store import open_cache
 from stlab.traces import (
     TraceRecord,
@@ -16,6 +18,7 @@ from stlab.traces import (
     _correlate,
     _dot_row,
     _smooth_len,
+    _table_traces,
     angle,
     angle_sample,
     batch_traces,
@@ -143,7 +146,7 @@ def test_residue_angles_marks_bad_reduction(fam_zz):
 def test_hasse_violation_is_an_error_not_an_assert(fam_zz):
     # a corrupted table (every value a square) gives a = -p; the check must
     # survive python -O, so it cannot be an assert
-    bad = ResidueTable(101, np.ones(101, dtype=np.int8))
+    bad = ResidueTable(101, np.ones(101, dtype=np.int8), ResidueTable.build(101).pw)
     with pytest.raises(RuntimeError, match="Hasse"):
         trace(CurveInstance(101, 1, 1), bad)
     with pytest.raises(RuntimeError, match="Hasse"):
@@ -177,21 +180,37 @@ def _rows_by_enumeration(p):
 
 
 @pytest.mark.parametrize("p", PRIMES_TO_43)
-def test_table_traces_exhaustive_small_primes(p):
+def test_table_traces_exhaustive_small_primes(p, monkeypatch):
     # f = A, g = Z runs every residue through all three rows: A = 0 (j = 0),
     # w = 0 with A != 0 (j = 1728) and the twist row; half these primes have
     # chi(-1) = -1
     tbl = ResidueTable.build(p)
+    rows = _rows_by_enumeration(p)
+    built = []
+    for name in ("_dot_row", "_correlate"):
+        monkeypatch.setattr(traces, name, lambda weights, *args, read=getattr(traces, name):
+                            built.append(weights) or read(weights, *args))
     for A in range(p):
         a_vec, good = residue_traces(build_family([A], [0, 1]), p, range(p), tbl)
         for w in np.flatnonzero(good):
             c = CurveInstance(p, A, int(w))
             assert a_vec[w] == trace(c, tbl) == p + 1 - count_points_naive(c)
         assert good[1:].all() if A == 0 else good[0]
+    # the rows built from the power table are the enumerated weights; A = 0
+    # reads the j = 0 row, and every other A reads the two others
+    assert len(built) == 2 * p - 1
+    assert np.array_equal(built[0], rows[0][0])
+    for A in range(1, p):
+        assert np.array_equal(built[2 * A - 1], rows[1][0])
+        assert np.array_equal(built[2 * A], rows[2][0])
+    # sum |W| <= p, which keeps every float32 dot exact (_dot_row)
+    n0, m2, m = (weights for weights, *_ in rows)
+    assert n0.sum() == np.abs(n0).sum() == p
+    assert np.abs(m2).sum() <= p - 1 and np.abs(m).sum() <= p - 1
     # every row, read at every shift by exact dots and by the FFT correlation
-    chi2 = np.concatenate((tbl.leg, tbl.leg[:-1])).astype(np.float64)
+    chi2 = np.concatenate((tbl.leg, tbl.leg[:-1])).astype(np.float32)
     chi_hat = _chi_hat(tbl.leg, p)
-    for weights, shift, curve, shifts in _rows_by_enumeration(p):
+    for weights, shift, curve, shifts in rows:
         by_dots = _dot_row(weights, chi2, np.arange(p), p)
         by_fft = _correlate(weights, *chi_hat, p)
         assert by_dots.dtype == by_fft.dtype == np.int64
@@ -199,6 +218,48 @@ def test_table_traces_exhaustive_small_primes(p):
             c = CurveInstance(p, *curve(s))
             assert shift - by_dots[s] == shift - by_fft[s] == trace(c, tbl) \
                 == p + 1 - count_points_naive(c)
+
+
+def test_dot_row_refuses_weights_past_float32_exactness():
+    p = 101
+    chi2 = np.ones(2 * p - 1, dtype=np.float32)
+    weights = np.zeros(p)
+    weights[:4] = [2**23, -2**22, 2**22 - 1, 1]  # sum |W| = 2**24
+    with pytest.raises(RuntimeError, match="bug"):
+        _dot_row(weights, chi2, np.arange(3), p)
+    weights[3] = 0
+    assert _dot_row(weights, chi2, np.arange(3), p).tolist() == [2**23 - 1] * 3
+
+
+def test_table_traces_at_a_large_prime():
+    # random (a, b) at p = 1000003, three with j = 0 and three with j = 1728
+    p = 1000003
+    tbl = ResidueTable.build(p)
+    rng = np.random.default_rng(11)
+    a = rng.integers(0, p, size=12)
+    b = rng.integers(0, p, size=12)
+    a[:3] = 0
+    b[3:6] = 0
+    got = _table_traces(tbl, a, b)
+    assert got.tolist() == [trace(CurveInstance(p, int(x), int(y)), tbl) for x, y in zip(a, b)]
+
+
+def test_one_primitive_root_per_prime(fam_zz, monkeypatch):
+    # the residue table builds the prime's power table, and the rows and
+    # charsum's character order reuse it
+    roots, traced = [], []
+    primitive_root = finite_field.primitive_root
+    residue_traces_ = traces.residue_traces
+    monkeypatch.setattr(finite_field, "primitive_root",
+                        lambda p: roots.append(p) or primitive_root(p))
+    monkeypatch.setattr(traces, "residue_traces",
+                        lambda fam, p, *args: traced.append(p) or residue_traces_(fam, p, *args))
+    ex.mixed_geometric(fam_zz, 400, 2, 12, Interval(0.0, math.pi))
+    assert len(traced) > 50 and len(set(traced)) == len(traced)
+    assert roots == traced
+    roots.clear()
+    ex.charsum_verify(fam_zz, 1009, 2)
+    assert roots == [1009]
 
 
 @given(st.sampled_from(PRIMES_TO_2000),
