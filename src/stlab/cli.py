@@ -3,12 +3,17 @@
 Every command writes one JSON object to stdout; histograms can additionally
 go to CSV (`bin_lo,bin_hi,count,st_mass`, 6-decimal reals) and to a static
 SVG with the limiting density drawn over the bars.  Exit codes: 0 ok,
-1 usage, 2 hypothesis violation, 3 computation refused, 4 cache error.
+1 usage, 2 hypothesis violation, 3 computation refused, 4 cache error,
+5 internal invariant failure (a bug; the message starts with `bug:`).
+
+`COMMANDS` maps each command's words to the arguments it declares and to
+its handler; a run builds the parser of its own command only.
 """
 
 from __future__ import annotations
 
 import argparse
+import contextlib
 import json
 import math
 import os
@@ -33,11 +38,6 @@ from .param_sets import (
 from .sato_tate import AngleSample, Interval, discrepancy_report, mu_st
 from .store import open_cache
 from .traces import TraceRecord, angle, angle_sample, trace
-
-
-def _cache_path(args) -> str | None:
-    """The cache file: the STLAB_CACHE override, else --cache."""
-    return os.environ.get("STLAB_CACHE") or getattr(args, "cache", None)
 
 
 def _parse_coeffs(text: str) -> list[int]:
@@ -122,106 +122,6 @@ def _write_svg(path: str, rows, m: int) -> None:
         fh.write("\n".join(parts) + "\n")
 
 
-def _build_parser() -> argparse.ArgumentParser:
-    top = argparse.ArgumentParser(prog="stlab")
-    sub = top.add_subparsers(dest="command", required=True)
-
-    def add_family(p):
-        p.add_argument("--f", required=True, help="f coefficients, ascending, comma-separated")
-        p.add_argument("--g", required=True, help="g coefficients, ascending, comma-separated")
-
-    def add_interval(p):
-        p.add_argument("--alpha", type=float, default=0.0)
-        p.add_argument("--beta", type=float, default=math.pi)
-
-    fam_p = sub.add_parser("family")
-    fam_sub = fam_p.add_subparsers(dest="subcommand", required=True)
-    chk = fam_sub.add_parser("check")
-    add_family(chk)
-
-    tr = sub.add_parser("trace")
-    add_family(tr)
-    tr.add_argument("-p", "--prime", type=int, required=True)
-    tr.add_argument("-t", "--param", type=int, required=True)
-
-    an = sub.add_parser("angles")
-    add_family(an)
-    an.add_argument("-p", "--prime", type=int, required=True)
-    an.add_argument("--kind", default="full",
-                    choices=["full", "subgroup", "product", "primes", "geometric", "interval"])
-    an.add_argument("-r", "--order", type=int)
-    an.add_argument("--set-u")
-    an.add_argument("--set-v")
-    an.add_argument("-L", "--limit", type=int)
-    an.add_argument("--lam", type=int)
-    an.add_argument("-T", "--length", type=int)
-    an.add_argument("-M", "--offset", type=int)
-    an.add_argument("-N", "--window", type=int)
-    an.add_argument("--bins", type=int, default=30)
-    an.add_argument("--csv", default=None)
-    an.add_argument("--svg", default=None)
-
-    ver = sub.add_parser("verify")
-    ver_sub = ver.add_subparsers(dest="subcommand", required=True)
-    ch = ver_sub.add_parser("charsum")
-    add_family(ch)
-    ch.add_argument("-p", "--prime", type=int, required=True)
-    ch.add_argument("--n-max", type=int, default=5)
-    ch.add_argument("--mode", choices=["exhaustive", "sampled"], default="exhaustive")
-    ch.add_argument("--count", type=int, default=None)
-    ch.add_argument("--seed", type=int, default=None)
-    ch.add_argument("--subgroup-r", type=int, default=None)
-
-    exp = sub.add_parser("experiment")
-    exp_sub = exp.add_subparsers(dest="subcommand", required=True)
-    for name in ("vertical-subgroup", "vertical-product", "vertical-primes",
-                 "mixed-product", "mixed-geometric", "mixed-primes"):
-        p = exp_sub.add_parser(name)
-        add_family(p)
-        add_interval(p)
-        if name.startswith("vertical"):
-            p.add_argument("-p", "--prime", type=int, required=True)
-        else:
-            p.add_argument("-x", "--xmax", type=int, required=True)
-            p.add_argument("--threads", type=int, default=1)  # >= 1; no effect
-            p.add_argument("--cache", default=None)
-        if name.endswith("subgroup"):
-            p.add_argument("-r", "--order", type=int, required=True)
-        elif name.endswith("product"):
-            p.add_argument("--set-u", required=True)
-            p.add_argument("--set-v", required=True)
-        elif name.endswith("primes"):
-            p.add_argument("-L", "--limit", type=int, required=True)
-        else:  # mixed-geometric
-            p.add_argument("--lam", type=int, required=True)
-            p.add_argument("-T", "--length", type=int, required=True)
-
-    sums = sub.add_parser("sums")
-    sums_sub = sums.add_subparsers(dest="subcommand", required=True)
-    for name in ("vaughan", "mobius", "prime-sym"):
-        p = sums_sub.add_parser(name)
-        add_family(p)
-        p.add_argument("-p", "--prime", type=int, required=True)
-        p.add_argument("-L", "--limit", type=int, required=True)
-        p.add_argument("-n", "--degree", type=int, default=1)
-        if name in ("vaughan", "mobius"):
-            p.add_argument("-K", "--k-cut", type=float, default=None)
-            p.add_argument("-M", "--m-cut", type=float, default=None)
-    orders = sums_sub.add_parser("orders")
-    orders.add_argument("-x", "--xmax", type=int, required=True)
-    orders.add_argument("--lam", type=int, required=True)
-    orders.add_argument("--alpha-exp", type=float, default=1.0)
-    orders.add_argument("--window-y", type=int, default=None)
-
-    cache_p = sub.add_parser("cache")
-    cache_sub = cache_p.add_subparsers(dest="subcommand", required=True)
-    stats = cache_sub.add_parser("stats")
-    add_family(stats)
-    stats.add_argument("--cache", required=True)
-
-    return top
-
-
 def _angles_params(args, p):
     kind = args.kind
     if kind == "full":
@@ -249,31 +149,15 @@ def _angles_params(args, p):
     return list(ps.elements), ps.descriptor
 
 
-def _experiment_json(command, fam, params, mu, value, bracket, ratio, detail):
-    return {
-        "command": command,
-        "family_fingerprint": fingerprint_hex(fam),
-        "params": params,
-        "mu": mu,
-        "count_or_average": value,
-        "bracket": bracket,
-        "ratio": ratio,
-        "detail": detail,
-    }
+def _cache_path(args) -> str | None:
+    """The cache file: the STLAB_CACHE override, else --cache."""
+    return os.environ.get("STLAB_CACHE") or args.cache
 
 
-def _run_family_check(fam, started):
-    chk = check_nondeg_global(fam)
-    out = {
-        "command": "family check",
-        "family_fingerprint": fingerprint_hex(fam),
-        "nondeg_global": "pass" if chk.ok else "fail",
-        "deg_delta": fam.deg_delta,
-    }
-    if not chk.ok:
-        out["reason"] = chk.reason
-    _emit(out, started)
-    return 0 if chk.ok else 2
+def _mixed_cache(args, fam):
+    """The open cache of a mixed experiment, or a null context without one."""
+    path = _cache_path(args)
+    return open_cache(path, fam) if path else contextlib.nullcontext()
 
 
 def _require_prime_above_3(p: int) -> None:
@@ -285,22 +169,61 @@ def _require_prime_above_3(p: int) -> None:
         raise ValueError("requires p > 3")
 
 
-def _run_trace(fam, args, started):
-    _require_prime_above_3(args.prime)
-    tbl = ResidueTable.build(args.prime)  # refuses p > 2**23 before any O(p) array
-    rec_a = trace(reduce_at(fam, args.param, args.prime), tbl)
-    psi = angle(TraceRecord(args.prime, args.param, rec_a))
-    _emit({
-        "command": "trace",
-        "family_fingerprint": fingerprint_hex(fam),
-        "params": {"p": args.prime, "t": args.param},
-        "a": rec_a,
-        "psi": psi,
-    }, started)
-    return 0
+def _experiment_json(params, mu, value, bracket, ratio, detail):
+    return {"params": params, "mu": mu, "count_or_average": value,
+            "bracket": bracket, "ratio": ratio, "detail": detail}
 
 
-def _run_angles(fam, args, started):
+def _vertical_report(rep, iv):
+    detail = {"count": rep.count, "m": rep.m, "expected": rep.expected,
+              "empirical_error": rep.empirical_error}
+    if rep.bracket_note:
+        detail["bracket_note"] = rep.bracket_note
+    params = {"p": rep.p, "set": rep.set_descriptor, "alpha": iv.alpha, "beta": iv.beta}
+    return _experiment_json(params, mu_st(iv), rep.count, rep.theorem_bracket,
+                            rep.ratio, detail), 0
+
+
+def _mixed_report(rep, iv):
+    detail = {"raw_count": rep.raw_count, "denominator": rep.denominator,
+              "pi_x": rep.pi_x, "skipped_primes": list(rep.skipped_primes),
+              "skipped_params": rep.skipped_params, "deviation": rep.deviation}
+    if rep.order_sum_half is not None:
+        detail["order_sum_half"] = rep.order_sum_half
+    if rep.bracket_note:
+        detail["bracket_note"] = rep.bracket_note
+    params = {"x": rep.x, "set": rep.set_descriptor, "alpha": iv.alpha, "beta": iv.beta}
+    return _experiment_json(params, rep.mu, rep.normalized_average, rep.theorem_bracket,
+                            rep.deviation / rep.theorem_bracket, detail), 0
+
+
+def _sums_report(args, value, bracket, detail):
+    return _experiment_json({"p": args.prime, "L": args.limit, "n": args.degree}, None,
+                            value, bracket, (abs(value) / bracket) if bracket else None,
+                            detail), 0
+
+
+# Handlers: handler(args, fam, iv) -> (report, exit code).  run() puts the
+# command's words and the family fingerprint in front of the report.
+
+
+def _family_check(args, fam, iv):
+    chk = check_nondeg_global(fam)
+    out = {"nondeg_global": "pass" if chk.ok else "fail", "deg_delta": fam.deg_delta}
+    if not chk.ok:
+        out["reason"] = chk.reason
+    return out, 0 if chk.ok else 2
+
+
+def _trace(args, fam, iv):
+    p, t = args.prime, args.param
+    _require_prime_above_3(p)
+    tbl = ResidueTable.build(p)  # refuses p > 2**23 before any O(p) array
+    a = trace(reduce_at(fam, t, p), tbl)
+    return {"params": {"p": p, "t": t}, "a": a, "psi": angle(TraceRecord(p, t, a))}, 0
+
+
+def _angles(args, fam, iv):
     p = args.prime
     _require_prime_above_3(p)
     params, desc = _angles_params(args, p)
@@ -311,9 +234,7 @@ def _run_angles(fam, args, started):
         _write_csv(args.csv, rows)
     if args.svg:
         _write_svg(args.svg, rows, sample.m)
-    _emit({
-        "command": "angles",
-        "family_fingerprint": fingerprint_hex(fam),
+    return {
         "params": {"p": p, "set": desc, "bins": args.bins},
         "m": sample.m,
         "star_discrepancy": rep.star,
@@ -321,165 +242,180 @@ def _run_angles(fam, args, started):
         "interval_exact": rep.interval_exact,
         "niederreiter_rhs": rep.niederreiter_rhs,
         "k_used": rep.k_used,
-    }, started)
-    return 0
+    }, 0
 
 
-def _run_charsum(fam, args, started):
+def _charsum(args, fam, iv):
     reports = ex.charsum_verify(fam, args.prime, args.n_max, mode=args.mode,
                                 seed=args.seed, count=args.count,
                                 subgroup_r=args.subgroup_r)
     worst = max(reports, key=lambda r: r.max_abs / r.bound)
     detail = [{"n": r.n, "max_abs": r.max_abs, "bound": r.bound,
                "worst_character_index": r.worst_character_index} for r in reports]
-    out = _experiment_json("verify charsum", fam,
-                           {"p": args.prime, "n_max": args.n_max, "mode": reports[0].mode,
-                            "subgroup_r": args.subgroup_r},
-                           None, worst.max_abs, worst.bound, worst.max_abs / worst.bound,
-                           detail)
-    _emit(out, started)
-    return 0
+    params = {"p": args.prime, "n_max": args.n_max, "mode": reports[0].mode,
+              "subgroup_r": args.subgroup_r}
+    return _experiment_json(params, None, worst.max_abs, worst.bound,
+                            worst.max_abs / worst.bound, detail), 0
 
 
-def _run_experiment(fam, iv, args, started):
-    name = args.subcommand
-    cache_path = _cache_path(args)
-    cache = open_cache(cache_path, fam) if cache_path else None
-    try:
-        if name == "vertical-subgroup":
-            rep = ex.vertical_subgroup(fam, args.prime, args.order, iv)
-        elif name == "vertical-product":
-            rep = ex.vertical_product(fam, args.prime, _parse_intset(args.set_u),
-                                      _parse_intset(args.set_v), iv)
-        elif name == "vertical-primes":
-            rep = ex.vertical_primes(fam, args.prime, args.limit, iv)
-        elif name == "mixed-product":
-            rep = ex.mixed_product(fam, args.xmax, _parse_intset(args.set_u),
-                                   _parse_intset(args.set_v), iv, cache=cache,
-                                   threads=args.threads)
-        elif name == "mixed-geometric":
-            rep = ex.mixed_geometric(fam, args.xmax, args.lam, args.length, iv,
-                                     cache=cache, threads=args.threads)
-        else:
-            rep = ex.mixed_primes(fam, args.xmax, args.limit, iv, cache=cache,
-                                  threads=args.threads)
-    finally:
-        if cache is not None:
-            cache.close()
-
-    if name.startswith("vertical"):
-        params = {"p": rep.p, "set": rep.set_descriptor,
-                  "alpha": iv.alpha, "beta": iv.beta}
-        detail = {"count": rep.count, "m": rep.m, "expected": rep.expected,
-                  "empirical_error": rep.empirical_error}
-        if rep.bracket_note:
-            detail["bracket_note"] = rep.bracket_note
-        value, ratio = rep.count, rep.ratio
-        mu = mu_st(iv)
-    else:
-        params = {"x": rep.x, "set": rep.set_descriptor,
-                  "alpha": iv.alpha, "beta": iv.beta}
-        detail = {"raw_count": rep.raw_count, "denominator": rep.denominator,
-                  "pi_x": rep.pi_x, "skipped_primes": list(rep.skipped_primes),
-                  "skipped_params": rep.skipped_params,
-                  "deviation": rep.deviation}
-        if rep.order_sum_half is not None:
-            detail["order_sum_half"] = rep.order_sum_half
-        if rep.bracket_note:
-            detail["bracket_note"] = rep.bracket_note
-        value = rep.normalized_average
-        ratio = rep.deviation / rep.theorem_bracket
-        mu = rep.mu
-    out = _experiment_json(f"experiment {name}", fam, params, mu, value,
-                           rep.theorem_bracket, ratio, detail)
-    _emit(out, started)
-    return 0
+def _vertical_subgroup(args, fam, iv):
+    return _vertical_report(ex.vertical_subgroup(fam, args.prime, args.order, iv), iv)
 
 
-def _run_sums(fam, args, started):
-    if args.subcommand == "orders":
-        s = order_sum(args.xmax, args.lam, args.alpha_exp)
-        out = {
-            "command": "sums orders",
-            "params": {"x": args.xmax, "lambda": args.lam, "alpha": args.alpha_exp},
-            "order_sum": s,
-        }
-        if args.window_y is not None:
-            out["divisor_window_count"] = divisor_window_count(args.xmax, args.window_y)
-        _emit(out, started)
-        return 0
-
-    if args.subcommand == "vaughan":
-        rep = ex.vaughan_decompose(fam, args.prime, args.limit, K=args.k_cut,
-                                   M=args.m_cut, n=args.degree)
-        detail = {"direct_sum": rep.direct_sum, "sigma1": rep.sigma1,
-                  "sigma2": rep.sigma2, "sigma3": rep.sigma3, "sigma4": rep.sigma4,
-                  "K": rep.K, "M": rep.M}
-        value, bracket = rep.direct_sum, rep.lambda_bracket
-    elif args.subcommand == "mobius":
-        rep = ex.mobius_sums(fam, args.prime, args.limit, args.degree,
-                             K=args.k_cut, M=args.m_cut)
-        detail = {"abs_mu_sum": rep.abs_mu_sum, "mu_sum": rep.mu_sum,
-                  "omega1": rep.omega1, "omega2": rep.omega2,
-                  "omega3": rep.omega3, "omega4": rep.omega4}
-        value, bracket = rep.mu_sum, None
-    else:
-        value, bracket, prime1 = ex.prime_sym_sum(fam, args.prime, args.limit,
-                                                  args.degree)
-        detail = {"prime1_bracket_hint": prime1,
-                  "bracket_note": ex.PRIME2_NOTE}
-    out = _experiment_json(f"sums {args.subcommand}", fam,
-                           {"p": args.prime, "L": args.limit, "n": args.degree},
-                           None, value, bracket,
-                           (abs(value) / bracket) if bracket else None, detail)
-    _emit(out, started)
-    return 0
+def _vertical_product(args, fam, iv):
+    return _vertical_report(ex.vertical_product(fam, args.prime, _parse_intset(args.set_u),
+                                                _parse_intset(args.set_v), iv), iv)
 
 
-def _run_cache_stats(fam, args, started):
+def _vertical_primes(args, fam, iv):
+    return _vertical_report(ex.vertical_primes(fam, args.prime, args.limit, iv), iv)
+
+
+def _mixed_product(args, fam, iv):
+    with _mixed_cache(args, fam) as cache:
+        rep = ex.mixed_product(fam, args.xmax, _parse_intset(args.set_u),
+                               _parse_intset(args.set_v), iv, cache=cache,
+                               threads=args.threads)
+    return _mixed_report(rep, iv)
+
+
+def _mixed_geometric(args, fam, iv):
+    with _mixed_cache(args, fam) as cache:
+        rep = ex.mixed_geometric(fam, args.xmax, args.lam, args.length, iv,
+                                 cache=cache, threads=args.threads)
+    return _mixed_report(rep, iv)
+
+
+def _mixed_primes(args, fam, iv):
+    with _mixed_cache(args, fam) as cache:
+        rep = ex.mixed_primes(fam, args.xmax, args.limit, iv, cache=cache,
+                              threads=args.threads)
+    return _mixed_report(rep, iv)
+
+
+def _vaughan(args, fam, iv):
+    rep = ex.vaughan_decompose(fam, args.prime, args.limit, K=args.k_cut,
+                               M=args.m_cut, n=args.degree)
+    detail = {"direct_sum": rep.direct_sum, "sigma1": rep.sigma1,
+              "sigma2": rep.sigma2, "sigma3": rep.sigma3, "sigma4": rep.sigma4,
+              "K": rep.K, "M": rep.M}
+    return _sums_report(args, rep.direct_sum, rep.lambda_bracket, detail)
+
+
+def _mobius(args, fam, iv):
+    rep = ex.mobius_sums(fam, args.prime, args.limit, args.degree,
+                         K=args.k_cut, M=args.m_cut)
+    detail = {"abs_mu_sum": rep.abs_mu_sum, "mu_sum": rep.mu_sum,
+              "omega1": rep.omega1, "omega2": rep.omega2,
+              "omega3": rep.omega3, "omega4": rep.omega4}
+    return _sums_report(args, rep.mu_sum, None, detail)
+
+
+def _prime_sym(args, fam, iv):
+    value, bracket, prime1 = ex.prime_sym_sum(fam, args.prime, args.limit, args.degree)
+    detail = {"prime1_bracket_hint": prime1, "bracket_note": ex.PRIME2_NOTE}
+    return _sums_report(args, value, bracket, detail)
+
+
+def _orders(args, fam, iv):
+    out = {"params": {"x": args.xmax, "lambda": args.lam, "alpha": args.alpha_exp},
+           "order_sum": order_sum(args.xmax, args.lam, args.alpha_exp)}
+    if args.window_y is not None:
+        out["divisor_window_count"] = divisor_window_count(args.xmax, args.window_y)
+    return out, 0
+
+
+def _cache_stats(args, fam, iv):
     path = _cache_path(args)
     rows = open_cache(path, fam).keys()
     primes = sorted({p for p, _ in rows})
-    _emit({
-        "command": "cache stats",
-        "family_fingerprint": fingerprint_hex(fam),
+    return {
         "path": path,
         "rows": len(rows),
         "distinct_primes": len(primes),
         "p_min": primes[0] if primes else None,
         "p_max": primes[-1] if primes else None,
-    }, started)
-    return 0
+    }, 0
+
+
+def _arg(*flags, **kwargs):
+    return flags, kwargs
+
+
+_FAMILY = (_arg("--f", required=True, help="f coefficients, ascending, comma-separated"),
+           _arg("--g", required=True, help="g coefficients, ascending, comma-separated"))
+_INTERVAL = (_arg("--alpha", type=float, default=0.0),
+             _arg("--beta", type=float, default=math.pi))
+_PRIME = _arg("-p", "--prime", type=int, required=True)
+_VERTICAL = (*_FAMILY, *_INTERVAL, _PRIME)
+_MIXED = (*_FAMILY, *_INTERVAL, _arg("-x", "--xmax", type=int, required=True),
+          _arg("--threads", type=int, default=1),  # >= 1; no effect
+          _arg("--cache"))
+_SETS = (_arg("--set-u", required=True), _arg("--set-v", required=True))
+_LIMIT = _arg("-L", "--limit", type=int, required=True)
+_GEOMETRIC = (_arg("--lam", type=int, required=True),
+              _arg("-T", "--length", type=int, required=True))
+_SUMS = (*_FAMILY, _PRIME, _LIMIT, _arg("-n", "--degree", type=int, default=1))
+_CUTS = (_arg("-K", "--k-cut", type=float), _arg("-M", "--m-cut", type=float))
+
+# words -> (arguments, handler).  A family (--f, --g) is built and an
+# interval (--alpha, --beta) checked, in that order, before the handler runs.
+COMMANDS = {
+    "family check": (_FAMILY, _family_check),
+    "trace": ((*_FAMILY, _PRIME, _arg("-t", "--param", type=int, required=True)), _trace),
+    "angles": ((*_FAMILY, _PRIME,
+                _arg("--kind", default="full", choices=["full", "subgroup", "product",
+                                                        "primes", "geometric", "interval"]),
+                _arg("-r", "--order", type=int), _arg("--set-u"), _arg("--set-v"),
+                _arg("-L", "--limit", type=int), _arg("--lam", type=int),
+                _arg("-T", "--length", type=int), _arg("-M", "--offset", type=int),
+                _arg("-N", "--window", type=int), _arg("--bins", type=int, default=30),
+                _arg("--csv"), _arg("--svg")), _angles),
+    "verify charsum": ((*_FAMILY, _PRIME, _arg("--n-max", type=int, default=5),
+                        _arg("--mode", choices=["exhaustive", "sampled"], default="exhaustive"),
+                        _arg("--count", type=int), _arg("--seed", type=int),
+                        _arg("--subgroup-r", type=int)), _charsum),
+    "experiment vertical-subgroup": ((*_VERTICAL, _arg("-r", "--order", type=int, required=True)),
+                                     _vertical_subgroup),
+    "experiment vertical-product": ((*_VERTICAL, *_SETS), _vertical_product),
+    "experiment vertical-primes": ((*_VERTICAL, _LIMIT), _vertical_primes),
+    "experiment mixed-product": ((*_MIXED, *_SETS), _mixed_product),
+    "experiment mixed-geometric": ((*_MIXED, *_GEOMETRIC), _mixed_geometric),
+    "experiment mixed-primes": ((*_MIXED, _LIMIT), _mixed_primes),
+    "sums vaughan": ((*_SUMS, *_CUTS), _vaughan),
+    "sums mobius": ((*_SUMS, *_CUTS), _mobius),
+    "sums prime-sym": (_SUMS, _prime_sym),
+    "sums orders": ((_arg("-x", "--xmax", type=int, required=True),
+                     _arg("--lam", type=int, required=True),
+                     _arg("--alpha-exp", type=float, default=1.0),
+                     _arg("--window-y", type=int)), _orders),
+    "cache stats": ((*_FAMILY, _arg("--cache", required=True)), _cache_stats),
+}
 
 
 def run(argv=None) -> int:
     started = time.monotonic()
-    parser = _build_parser()
+    argv = sys.argv[1:] if argv is None else list(argv)
+    n = 2 if " ".join(argv[:2]) in COMMANDS else 1
+    words = " ".join(argv[:n])
+    if words not in COMMANDS:
+        wants_help = "-h" in argv or "--help" in argv
+        print("usage: stlab <command> [options]; stlab <command> --help lists the options\n"
+              "commands:\n" + "\n".join(f"  {w}" for w in COMMANDS),
+              file=sys.stdout if wants_help else sys.stderr)
+        return 0 if wants_help else 1
+    arguments, handler = COMMANDS[words]
+    parser = argparse.ArgumentParser(prog=f"stlab {words}")
+    for flags, kwargs in arguments:
+        parser.add_argument(*flags, **kwargs)
     try:
-        args = parser.parse_args(argv)
+        args = parser.parse_args(argv[n:])
     except SystemExit as e:
         return 0 if e.code == 0 else 1
     try:
-        # the family, then the interval, are checked before any dispatch
-        fam = None
-        if getattr(args, "f", None) is not None:
-            fam = build_family(_parse_coeffs(args.f), _parse_coeffs(args.g))
-        iv = Interval(getattr(args, "alpha", 0.0), getattr(args, "beta", math.pi))
-        if args.command == "family":
-            return _run_family_check(fam, started)
-        if args.command == "trace":
-            return _run_trace(fam, args, started)
-        if args.command == "angles":
-            return _run_angles(fam, args, started)
-        if args.command == "verify":
-            return _run_charsum(fam, args, started)
-        if args.command == "experiment":
-            return _run_experiment(fam, iv, args, started)
-        if args.command == "sums":
-            return _run_sums(fam, args, started)
-        if args.command == "cache":
-            return _run_cache_stats(fam, args, started)
-        return 1
+        fam = build_family(_parse_coeffs(args.f), _parse_coeffs(args.g)) if "f" in args else None
+        iv = Interval(args.alpha, args.beta) if "alpha" in args else None
+        report, code = handler(args, fam, iv)
     except NondegeneracyError as e:
         print(f"hypothesis violation: {e}", file=sys.stderr)
         return 2
@@ -489,9 +425,17 @@ def run(argv=None) -> int:
     except CacheError as e:
         print(f"cache error: {e}", file=sys.stderr)
         return 4
-    except (ValueError, RuntimeError) as e:
+    except ValueError as e:
         print(f"error: {e}", file=sys.stderr)
         return 1
+    except RuntimeError as e:  # an internal invariant failed
+        print(f"bug: {e}", file=sys.stderr)
+        return 5
+    head = {"command": words}
+    if fam is not None:
+        head["family_fingerprint"] = fingerprint_hex(fam)
+    _emit({**head, **report}, started)
+    return code
 
 
 def main() -> None:

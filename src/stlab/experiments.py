@@ -154,6 +154,9 @@ def vertical_subgroup(fam: FamilyPoly, p: int, r: int, iv: Interval) -> Vertical
 def vertical_product(fam: FamilyPoly, p: int, U, V, iv: Interval) -> VerticalReport:
     """Pair count over the product multiset U*V; bracket (#U #V)^(3/4) p^(1/4)."""
     _require_nondeg_mod_p(fam, p)
+    U, V = list(U), list(V)
+    if not U or not V:
+        raise ValueError("U and V must be non-empty")
     pset = product_residues(U, V, p)
     size = len(pset.elements)
     bracket = size**0.75 * p**0.25
@@ -309,8 +312,9 @@ def charsum_verify(fam: FamilyPoly, p: int, n_max: int, mode: str = "exhaustive"
         w_of = tbl.pw
         period = p - 1
     else:
-        pset = subgroup(p, subgroup_r)
-        w_of = np.array(pset.elements, dtype=np.int64)  # h^i in index order
+        if subgroup_r < 1 or (p - 1) % subgroup_r != 0:
+            raise ValueError(f"r={subgroup_r} does not divide p-1={p - 1}")
+        w_of = tbl.pw[::(p - 1) // subgroup_r]  # h^i with h = g^((p-1)/r)
         period = subgroup_r
 
     a_vec, good = residue_traces(fam, p, w_of, tbl)

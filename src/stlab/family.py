@@ -99,7 +99,6 @@ class CurveInstance:
     p: int
     a: int
     b: int
-    t: int | None = None
 
     def __post_init__(self):
         if (4 * self.a**3 + 27 * self.b**2) % self.p == 0:
@@ -195,4 +194,4 @@ def reduce_at(fam: FamilyPoly, t: int, p: int) -> CurveInstance:
         raise NondegeneracyError(f"bad reduction at t={t} mod p={p}")
     a = poly_eval_mod(fam.f_coeffs, t, p)
     b = poly_eval_mod(fam.g_coeffs, t, p)
-    return CurveInstance(p, a, b, t)
+    return CurveInstance(p, a, b)

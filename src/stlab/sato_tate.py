@@ -108,15 +108,9 @@ def sym(n: int, theta):
     return chebyshev_U(n, np.cos(theta))
 
 
-def sym_sum(sample: AngleSample, n: int, weights=None) -> complex:
-    """Sum of w_i * sym_n(psi_i) over the sample; weights default to 1."""
-    vals = chebyshev_U(n, np.cos(sample.psis))
-    if weights is None:
-        return complex(np.sum(vals))
-    w = np.asarray(weights)
-    if w.shape != sample.psis.shape:
-        raise ValueError("weights length must match the sample")
-    return complex(np.sum(w * vals))
+def sym_sum(sample: AngleSample, n: int) -> complex:
+    """Sum of sym_n(psi_i) over the sample."""
+    return complex(np.sum(chebyshev_U(n, np.cos(sample.psis))))
 
 
 def _transformed_sorted(sample: AngleSample) -> np.ndarray:

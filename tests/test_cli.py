@@ -1,3 +1,4 @@
+import argparse
 import hashlib
 import json
 import math
@@ -11,7 +12,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from stlab.cli import emit_histogram, run
+from stlab.cli import COMMANDS, emit_histogram, run
 from stlab.sato_tate import AngleSample
 
 
@@ -474,3 +475,92 @@ def test_readme_commands_run(tmp_path, capsys, monkeypatch):
         lines = capsys.readouterr().out.splitlines()
         assert len(lines) == 1, argv
         json.loads(lines[0])
+
+
+@pytest.mark.parametrize("argv, code", [
+    ([], 1), (["--help"], 0), (["experiment"], 1), (["experiment", "--help"], 0),
+])
+def test_command_list(argv, code, capsys):
+    assert run(argv) == code
+    captured = capsys.readouterr()
+    listing, other = (captured.out, captured.err) if code == 0 else (captured.err, captured.out)
+    assert other == ""
+    for words in COMMANDS:
+        assert f"  {words}\n" in listing
+
+
+def test_one_parser_per_command(monkeypatch, capsys):
+    built = []
+    init = argparse.ArgumentParser.__init__
+
+    def counted(self, *args, **kwargs):
+        built.append(kwargs.get("prog"))
+        init(self, *args, **kwargs)
+
+    monkeypatch.setattr(argparse.ArgumentParser, "__init__", counted)
+    for words in COMMANDS:
+        built.clear()
+        assert run([*words.split(), "--help"]) == 0
+        assert built == [f"stlab {words}"]
+        assert capsys.readouterr().out.startswith(f"usage: stlab {words} [-h]")
+    built.clear()
+    assert run(["trace", *FAM, "-p", "5", "-t", "1"]) == 0
+    assert built == ["stlab trace"]
+
+
+# one small run of every command; only those that take --cache open a cache
+EVERY_COMMAND = {
+    "family check": [],
+    "trace": ["-p", "5", "-t", "1"],
+    "angles": ["-p", "101"],
+    "verify charsum": ["-p", "101", "--n-max", "1"],
+    "experiment vertical-subgroup": ["-p", "101", "-r", "50"],
+    "experiment vertical-product": ["-p", "101", "--set-u", "1..3", "--set-v", "1..3"],
+    "experiment vertical-primes": ["-p", "101", "-L", "50"],
+    "experiment mixed-product": ["-x", "30", "--set-u", "1..3", "--set-v", "1..3"],
+    "experiment mixed-geometric": ["-x", "30", "--lam", "2", "-T", "5"],
+    "experiment mixed-primes": ["-x", "30", "-L", "20"],
+    "sums vaughan": ["-p", "101", "-L", "100"],
+    "sums mobius": ["-p", "101", "-L", "100"],
+    "sums prime-sym": ["-p", "101", "-L", "100"],
+    "sums orders": ["-x", "20", "--lam", "2"],
+    "cache stats": ["--cache", "unused.txt"],
+}
+
+
+@pytest.mark.parametrize("bad", ["missing-dir", "not-a-cache"])
+def test_stlab_cache_read_only_by_cache_commands(bad, tmp_path, monkeypatch, capsys):
+    assert set(EVERY_COMMAND) == set(COMMANDS)
+    path = tmp_path / "no-such-dir" / "c.txt"
+    if bad == "not-a-cache":
+        path = tmp_path / "c.txt"
+        path.write_text("garbage\n")
+    monkeypatch.setenv("STLAB_CACHE", str(path))
+    for words, extra in EVERY_COMMAND.items():
+        fam = [] if words == "sums orders" else FAM
+        code = run([*words.split(), *fam, *extra])
+        captured = capsys.readouterr()
+        takes_cache = any("--cache" in flags for flags, _ in COMMANDS[words][0])
+        assert code == (4 if takes_cache else 0), words
+        assert captured.err.startswith(f"cache error: {path}") == takes_cache, words
+
+
+def test_invariant_failure_exit_5(monkeypatch, capsys):
+    # a trace past the Hasse bound |a| <= 2 sqrt(p) is a bug, not a usage error
+    monkeypatch.setattr("stlab.traces._table_traces",
+                        lambda tbl, a, b: np.full(len(a), 21, dtype=np.int64))
+    code = run(["angles", *FAM, "-p", "101"])
+    captured = capsys.readouterr()
+    assert code == 5
+    assert captured.out == ""
+    assert captured.err == "bug: Hasse violated in trace table at p=101 (bug)\n"
+
+
+@pytest.mark.parametrize("sets", [("5..1", "1..3"), ("1..3", "5..1")])
+def test_vertical_product_empty_set_exit_1(sets, capsys):
+    code = run(["experiment", "vertical-product", *FAM, "-p", "101",
+                "--set-u", sets[0], "--set-v", sets[1]])
+    captured = capsys.readouterr()
+    assert code == 1
+    assert captured.out == ""
+    assert captured.err == "error: U and V must be non-empty\n"

@@ -323,6 +323,9 @@ def test_charsum_subgroup_matches_double_loop(fam_zz):
     assert rep.max_abs == pytest.approx(max(mags), abs=1e-9)
     assert rep.max_abs <= rep.bound + 1e-6
     assert rep.subgroup_r == r
+    for bad in (0, -4, 5):
+        with pytest.raises(ValueError, match=f"r={bad} does not divide p-1=12"):
+            ex.charsum_verify(fam_zz, p, 1, subgroup_r=bad)
 
 
 def test_charsum_orders_by_power_table_not_index_table(fam_zz, monkeypatch):

@@ -91,7 +91,7 @@ def test_good_reduction_examples(fam_zz):
 
 def test_reduce_at_examples(fam_zz):
     c = reduce_at(fam_zz, 1, 5)
-    assert (c.a, c.b, c.t) == (1, 1, 1)
+    assert (c.p, c.a, c.b) == (5, 1, 1)
     # reduction is by residue: t = 6 = 1 mod 5
     c = reduce_at(fam_zz, 6, 5)
     assert (c.a, c.b) == (1, 1)

@@ -6,7 +6,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from stlab import experiments as ex, finite_field, traces
+from stlab import experiments as ex, finite_field, param_sets, traces
 from stlab.errors import RefusedError
 from stlab.family import CurveInstance, build_family, poly_eval_mod
 from stlab.finite_field import ResidueTable, is_prime
@@ -259,6 +259,12 @@ def test_one_primitive_root_per_prime(fam_zz, monkeypatch):
     assert roots == traced
     roots.clear()
     ex.charsum_verify(fam_zz, 1009, 2)
+    assert roots == [1009]
+    # the subgroup of order r is read off the same power table
+    monkeypatch.setattr(param_sets, "primitive_root",
+                        lambda p: roots.append(p) or primitive_root(p))
+    roots.clear()
+    ex.charsum_verify(fam_zz, 1009, 2, subgroup_r=252)
     assert roots == [1009]
 
 
