@@ -25,7 +25,7 @@ import numpy as np
 from . import experiments as ex
 from .errors import CacheError, NondegeneracyError, RefusedError
 from .family import build_family, check_nondeg_global, fingerprint_hex, reduce_at
-from .finite_field import ResidueTable, require_odd_prime
+from .finite_field import ResidueTable, require_prime_above_3, require_table_size
 from .param_sets import (
     divisor_window_count,
     geometric,
@@ -150,23 +150,17 @@ def _angles_params(args, p):
 
 
 def _cache_path(args) -> str | None:
-    """The cache file: the STLAB_CACHE override, else --cache."""
-    return os.environ.get("STLAB_CACHE") or args.cache
+    """The cache file: a non-empty STLAB_CACHE, else --cache (absent: none)."""
+    path = os.environ.get("STLAB_CACHE") or args.cache
+    if path == "":
+        raise ValueError("--cache needs a file path, got an empty string")
+    return path
 
 
 def _mixed_cache(args, fam):
     """The open cache of a mixed experiment, or a null context without one."""
     path = _cache_path(args)
     return open_cache(path, fam) if path else contextlib.nullcontext()
-
-
-def _require_prime_above_3(p: int) -> None:
-    """trace and angles take an odd prime p > 3, as every experiment does.
-    Checked before any parameter set is built: a subgroup or progression
-    mod a non-prime is undefined."""
-    require_odd_prime(p)
-    if p == 3:
-        raise ValueError("requires p > 3")
 
 
 def _experiment_json(params, mu, value, bracket, ratio, detail):
@@ -217,7 +211,7 @@ def _family_check(args, fam, iv):
 
 def _trace(args, fam, iv):
     p, t = args.prime, args.param
-    _require_prime_above_3(p)
+    require_prime_above_3(p)
     tbl = ResidueTable.build(p)  # refuses p > 2**23 before any O(p) array
     a = trace(reduce_at(fam, t, p), tbl)
     return {"params": {"p": p, "t": t}, "a": a, "psi": angle(TraceRecord(p, t, a))}, 0
@@ -225,7 +219,8 @@ def _trace(args, fam, iv):
 
 def _angles(args, fam, iv):
     p = args.prime
-    _require_prime_above_3(p)
+    require_prime_above_3(p)  # a subgroup or progression mod a non-prime is undefined
+    require_table_size(p)
     params, desc = _angles_params(args, p)
     sample = angle_sample(fam, p, params)
     rep = discrepancy_report(sample)

@@ -18,7 +18,7 @@ import numpy as np
 
 from .errors import NondegeneracyError
 from .family import FamilyPoly, check_nondeg_global, check_nondeg_mod_p
-from .finite_field import ResidueTable, mult_order
+from .finite_field import ResidueTable, mult_order, require_table_size
 from .param_sets import (
     erdos_delta,
     geometric,
@@ -27,6 +27,7 @@ from .param_sets import (
     product_residues,
     sieve_arith,
     subgroup,
+    subgroup_index,
 )
 from .sato_tate import Interval, chebyshev_U, mu_st, sym_terms
 from .traces import acos_once, batch_traces, param_array, residue_angles, residue_traces
@@ -113,9 +114,11 @@ class MobiusReport:
 
 
 def _require_nondeg_mod_p(fam: FamilyPoly, p: int):
+    """A prime 3 < p <= TABLE_LIMIT where fam is nondegenerate, before any set or sieve."""
     chk = check_nondeg_mod_p(fam, p)
     if not chk.ok:
         raise NondegeneracyError(f"family degenerate mod {p}: {chk.reason}")
+    require_table_size(p)
 
 
 def _require_nondeg_global(fam: FamilyPoly):
@@ -154,9 +157,6 @@ def vertical_subgroup(fam: FamilyPoly, p: int, r: int, iv: Interval) -> Vertical
 def vertical_product(fam: FamilyPoly, p: int, U, V, iv: Interval) -> VerticalReport:
     """Pair count over the product multiset U*V; bracket (#U #V)^(3/4) p^(1/4)."""
     _require_nondeg_mod_p(fam, p)
-    U, V = list(U), list(V)
-    if not U or not V:
-        raise ValueError("U and V must be non-empty")
     pset = product_residues(U, V, p)
     size = len(pset.elements)
     bracket = size**0.75 * p**0.25
@@ -305,16 +305,14 @@ def charsum_verify(fam: FamilyPoly, p: int, n_max: int, mode: str = "exhaustive"
     _require_nondeg_mod_p(fam, p)
     if n_max < 1:
         raise ValueError("n_max must be >= 1")
-    tbl = ResidueTable.build(p)  # refuses p above TABLE_LIMIT before any O(p) array
+    tbl = ResidueTable.build(p)
 
     if subgroup_r is None:
         # order all of F_p* by index: w_of[z] = g^z
         w_of = tbl.pw
         period = p - 1
     else:
-        if subgroup_r < 1 or (p - 1) % subgroup_r != 0:
-            raise ValueError(f"r={subgroup_r} does not divide p-1={p - 1}")
-        w_of = tbl.pw[::(p - 1) // subgroup_r]  # h^i with h = g^((p-1)/r)
+        w_of = tbl.pw[::subgroup_index(p, subgroup_r)]  # h^i with h = g^((p-1)/r)
         period = subgroup_r
 
     a_vec, good = residue_traces(fam, p, w_of, tbl)

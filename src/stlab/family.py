@@ -12,7 +12,7 @@ from dataclasses import dataclass
 from typing import NamedTuple
 
 from .errors import NondegeneracyError
-from .finite_field import is_prime
+from .finite_field import require_prime_above_3
 
 _FNV_OFFSET = 0xCBF29CE484222325
 _FNV_PRIME = 0x100000001B3
@@ -101,10 +101,17 @@ class CurveInstance:
     b: int
 
     def __post_init__(self):
-        if (4 * self.a**3 + 27 * self.b**2) % self.p == 0:
+        if not nonsingular(self.a, self.b, self.p):
             raise NondegeneracyError(
                 f"singular curve mod {self.p}: a={self.a}, b={self.b}"
             )
+
+
+def nonsingular(a, b, p: int):
+    """4a^3 + 27b^2 != 0 mod p (for odd p, delta != 0 mod p) for residues a, b
+    in [0, p), ints or int64 arrays.  Reducing after each product keeps every
+    intermediate below 4 p^2, inside int64 for p <= 2**23."""
+    return (4 * (a * a % p) * a + 27 * (b * b % p)) % p != 0
 
 
 def build_family(f_coeffs, g_coeffs) -> FamilyPoly:
@@ -159,10 +166,7 @@ def check_nondeg_global(fam: FamilyPoly) -> NondegCheck:
 
 def check_nondeg_mod_p(fam: FamilyPoly, p: int) -> NondegCheck:
     """Same predicate with all coefficients reduced mod p, for a prime p > 3."""
-    if p <= 3:
-        raise ValueError("requires p > 3")
-    if not is_prime(p):
-        raise ValueError(f"{p} is not a prime")
+    require_prime_above_3(p)
     delta_p = _trim(c % p for c in fam.delta_coeffs)
     if not delta_p:
         return NondegCheck(False, "delta_zero")
@@ -184,14 +188,10 @@ def delta_at(fam: FamilyPoly, t: int) -> int:
 
 
 def good_reduction(fam: FamilyPoly, t: int, p: int) -> bool:
-    """delta(t) != 0 mod p, evaluated on residues (never via the exact integer)."""
-    return poly_eval_mod(fam.delta_coeffs, t, p) != 0
+    """delta(t) != 0 mod p for odd p, evaluated on residues (never via the exact integer)."""
+    return nonsingular(poly_eval_mod(fam.f_coeffs, t, p), poly_eval_mod(fam.g_coeffs, t, p), p)
 
 
 def reduce_at(fam: FamilyPoly, t: int, p: int) -> CurveInstance:
-    """Specialize at z = t over F_p; refuses parameters with bad reduction."""
-    if not good_reduction(fam, t, p):
-        raise NondegeneracyError(f"bad reduction at t={t} mod p={p}")
-    a = poly_eval_mod(fam.f_coeffs, t, p)
-    b = poly_eval_mod(fam.g_coeffs, t, p)
-    return CurveInstance(p, a, b)
+    """Specialize at z = t over F_p; CurveInstance refuses bad reduction."""
+    return CurveInstance(p, poly_eval_mod(fam.f_coeffs, t, p), poly_eval_mod(fam.g_coeffs, t, p))

@@ -77,10 +77,19 @@ def factor(n: int) -> list[tuple[int, int]]:
     return out
 
 
-def require_odd_prime(p: int) -> None:
-    """Raise ValueError unless p is an odd prime."""
+def require_prime_above_3(p: int) -> None:
+    """Raise ValueError unless p is an odd prime, then unless p > 3 (where
+    y^2 = x^3 + ax + b is a general model of an elliptic curve)."""
     if p <= 2 or not is_prime(p):
         raise ValueError(f"{p} is not an odd prime")
+    if p == 3:
+        raise ValueError("requires p > 3")
+
+
+def require_table_size(p: int) -> None:
+    """Raise RefusedError for p > TABLE_LIMIT, before any O(p) work."""
+    if p > TABLE_LIMIT:
+        raise RefusedError(f"residue table for p={p} exceeds the {TABLE_LIMIT} limit")
 
 
 def legendre(a: int, p: int) -> int:
@@ -104,9 +113,9 @@ class ResidueTable:
 
     @classmethod
     def build(cls, p: int) -> "ResidueTable":
-        require_odd_prime(p)
-        if p > TABLE_LIMIT:
-            raise RefusedError(f"residue table for p={p} exceeds the {TABLE_LIMIT} limit")
+        if p != 3:  # the tables are well defined at p = 3, and the oracle tests use them
+            require_prime_above_3(p)
+        require_table_size(p)
         pw = power_table(primitive_root(p), p)
         leg = np.full(p, -1, dtype=np.int8)
         leg[pw[::2]] = 1  # the nonzero squares are the even powers of g
@@ -129,13 +138,16 @@ def primitive_root(p: int) -> int:
         g += 1
 
 
-def power_table(g: int, p: int) -> np.ndarray:
-    """pw[z] = g**z mod p for z in [0, p-2], as int64.
+def power_table(g: int, p: int, n: int | None = None) -> np.ndarray:
+    """pw[z] = g**z mod p for z in [0, n), as int64; n defaults to p - 1.
 
-    Built blockwise: about 2 sqrt(p) Python steps for the inner and outer
-    powers, then one outer product.  Needs p**2 below 2**63.
+    Built blockwise: about 2 sqrt(n) Python steps for the inner and outer
+    powers, then one outer product of entries below p**2 < 2**63.
     """
-    n = p - 1
+    if p * p >= 1 << 63:
+        raise RefusedError(f"power table needs p**2 < 2**63, got p={p}")
+    if n is None:
+        n = p - 1
     m = max(1, math.isqrt(n))
     inner = np.empty(m, dtype=np.int64)
     w = 1

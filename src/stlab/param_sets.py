@@ -16,7 +16,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .family import fnv1a_hex
-from .finite_field import _order_by_stripping, primitive_root
+from .finite_field import _order_by_stripping, power_table, primitive_root
 
 
 @dataclass(frozen=True)
@@ -27,25 +27,25 @@ class ParamSet:
     descriptor: str
 
 
-def subgroup(p: int, r: int) -> ParamSet:
-    """The multiplicative subgroup of order r in F_p*; requires r | p-1."""
+def subgroup_index(p: int, r: int) -> int:
+    """(p - 1) / r, the index of the subgroup of order r in F_p*; requires r | p-1."""
     if r < 1 or (p - 1) % r != 0:
         raise ValueError(f"r={r} does not divide p-1={p - 1}")
-    g = primitive_root(p)
-    d = (p - 1) // r
-    h = pow(g, d, p)
-    elems = []
-    w = 1
-    for _ in range(r):
-        elems.append(w)
-        w = w * h % p
-    return ParamSet(tuple(elems), f"subgroup:p={p}:r={r}")
+    return (p - 1) // r
+
+
+def subgroup(p: int, r: int) -> ParamSet:
+    """The multiplicative subgroup of order r in F_p*; requires r | p-1."""
+    h = pow(primitive_root(p), subgroup_index(p, r), p)
+    return ParamSet(tuple(power_table(h, p, r).tolist()), f"subgroup:p={p}:r={r}")
 
 
 def product_residues(U, V, p: int) -> ParamSet:
-    """Multiset {u*v mod p} over U x V; needs U, V in F_p*."""
+    """Multiset {u*v mod p} over U x V; needs U, V non-empty and in F_p*."""
     U = [u % p for u in U]
     V = [v % p for v in V]
+    if not U or not V:
+        raise ValueError("U and V must be non-empty")
     if any(u == 0 for u in U) or any(v == 0 for v in V):
         raise ValueError("product sets must avoid 0 mod p")
     elems = tuple(u * v % p for u in U for v in V)
@@ -73,7 +73,7 @@ def _prime_mask(n: int) -> np.ndarray:
 
 
 def geometric(lam: int, T: int, p: int) -> ParamSet:
-    """Residues lam^1 .. lam^T mod p, computed iteratively (multiset).
+    """Residues lam^1 .. lam^T mod p (multiset).
 
     The distribution theorems assume |lam| >= 2; any lam coprime to p is
     accepted here so order-2 cases like lam = -1 stay usable.
@@ -82,13 +82,8 @@ def geometric(lam: int, T: int, p: int) -> ParamSet:
         raise ValueError("T must be >= 1")
     if lam % p == 0:
         raise ValueError("p divides lambda")
-    base = lam % p
-    elems = []
-    w = 1
-    for _ in range(T):
-        w = w * base % p
-        elems.append(w)
-    return ParamSet(tuple(elems), f"geom:lambda={lam}:T={T}:p={p}")
+    elems = power_table(lam % p, p, T + 1)[1:]
+    return ParamSet(tuple(elems.tolist()), f"geom:lambda={lam}:T={T}:p={p}")
 
 
 def interval_params(M: int, N: int) -> ParamSet:

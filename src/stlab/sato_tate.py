@@ -168,28 +168,22 @@ def niederreiter_rhs(sample: AngleSample, k: int) -> float:
     return m / k + total
 
 
-def discrepancy_report(sample: AngleSample, sigma_hint: float | None = None,
-                       a_hint: float = 1.0) -> DiscrepancyReport:
+def discrepancy_report(sample: AngleSample) -> DiscrepancyReport:
     """Assemble star/interval discrepancies plus the bracket at the recipe's k.
 
-    k = ceil((m/sigma)^(1/(A+1))) when sigma < m, else 1; sigma defaults to
-    the observed max over n <= 20 of |sym-sum_n| / n^A.
+    k = ceil((m/sigma)^(1/2)) when sigma < m, else 1, with sigma the observed
+    max over n <= 20 of |sym-sum_n| / n.
     """
     m = sample.m
     if m < 1:
         raise ValueError("empty sample")
-    if sigma_hint is None:
-        sigma = max(abs(float(np.sum(u))) / n**a_hint
-                    for n, u in sym_terms(np.cos(sample.psis), 20))
-    else:
-        sigma = float(sigma_hint)
+    sigma = max(abs(float(np.sum(u))) / n for n, u in sym_terms(np.cos(sample.psis), 20))
     if sigma >= m:
         k = 1
     elif sigma <= 0.0:
         k = m  # degenerate: all test sums vanish; cap at m
     else:
-        k = max(1, math.ceil((m / sigma) ** (1.0 / (a_hint + 1.0))))
-        k = min(k, max(1, m))
+        k = min(max(1, math.ceil((m / sigma) ** 0.5)), m)
     iv_disc, exact = interval_discrepancy(sample)
     return DiscrepancyReport(
         m=m,

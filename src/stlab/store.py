@@ -16,7 +16,6 @@ leaves int64 (high powers in geometric progressions), and exact Python ints
 from __future__ import annotations
 
 import fcntl
-import math
 import os
 import threading
 
@@ -24,7 +23,7 @@ import numpy as np
 
 from .errors import CacheError
 from .family import FamilyPoly, fingerprint_hex
-from .traces import TraceRecord, param_array
+from .traces import TraceRecord, hasse_limit, param_array
 
 _MAGIC = "# stlab-cache v1 family="
 _I64 = 1 << 63
@@ -140,7 +139,7 @@ class TraceCache:
         the whole batch."""
         ts = param_array(ts)
         a = param_array(a)
-        lim = math.isqrt(4 * p) if p >= 0 else -1
+        lim = hasse_limit(p)
         out = np.flatnonzero((a < -lim) | (a > lim))
         if out.size:
             raise CacheError(f"refusing record violating Hasse: p={p}, a={a[out[0]]}")
@@ -246,8 +245,7 @@ def _parse_body(body: str) -> _Rows | None:
         p, t, a = p[keep], t[keep], a[keep]
     starts = np.concatenate(([0], np.flatnonzero(p[1:] != p[:-1]) + 1))
     primes = p[starts].tolist()
-    lim = np.repeat([math.isqrt(4 * q) if q >= 0 else -1 for q in primes],
-                    np.diff(np.append(starts, len(p))))
+    lim = np.repeat([hasse_limit(q) for q in primes], np.diff(np.append(starts, len(p))))
     if ((a < -lim) | (a > lim)).any():
         return None
 
@@ -272,7 +270,7 @@ def _parse_lines(path: str, body: str) -> dict[tuple[int, int], int]:
                 raise ValueError
         except (ValueError, IndexError):
             raise CacheError(f"{path}:{lineno}: malformed row {line!r}") from None
-        if a * a > 4 * p:
+        if abs(a) > hasse_limit(p):
             raise CacheError(f"{path}:{lineno}: Hasse violation p={p}, a={a}")
         prev = rows.get((p, t))
         if prev is not None and prev != a:

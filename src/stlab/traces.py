@@ -17,7 +17,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import RefusedError
-from .family import CurveInstance, FamilyPoly, poly_eval_mod
+from .family import CurveInstance, FamilyPoly, nonsingular, poly_eval_mod
 from .finite_field import ResidueTable, _mod_inplace
 from .sato_tate import AngleSample
 
@@ -224,8 +224,10 @@ def count_points_naive(c: CurveInstance) -> int:
     return 1 + int(sqcount[rhs].sum())
 
 
-def _hasse_ok(a: int, p: int) -> bool:
-    return a * a <= 4 * p
+def hasse_limit(p: int) -> int:
+    """isqrt(4p): a trace a at p satisfies the Hasse bound |a| <= 2 sqrt(p)
+    exactly when |a| <= hasse_limit(p).  -1 for p < 0, so no trace passes."""
+    return math.isqrt(4 * p) if p >= 0 else -1
 
 
 def trace(c: CurveInstance, tbl: ResidueTable) -> int:
@@ -236,7 +238,7 @@ def trace(c: CurveInstance, tbl: ResidueTable) -> int:
     x = np.arange(p, dtype=np.int64)
     rhs = (((x * x % p) * x % p) + c.a * x + c.b) % p
     a = -int(tbl.leg[rhs].sum())
-    if not _hasse_ok(a, p):
+    if abs(a) > hasse_limit(p):
         raise RuntimeError(f"Hasse violated: a={a}, p={p} (bug)")
     return a
 
@@ -250,16 +252,15 @@ def residue_traces(fam: FamilyPoly, p: int, ws, tbl: ResidueTable | None = None)
     if tbl is None:
         tbl = ResidueTable.build(p)
     ws = _residues(ws, p)
-    good = poly_eval_mod(fam.delta_coeffs, ws, p) != 0
     a_par = poly_eval_mod(fam.f_coeffs, ws, p)
     b_par = poly_eval_mod(fam.g_coeffs, ws, p)
+    good = nonsingular(a_par, b_par, p)
 
     out = np.zeros(len(ws), dtype=np.int64)
     idx = np.flatnonzero(good)
     if idx.size:
         out[idx] = _table_traces(tbl, a_par[idx], b_par[idx])
-        worst = int(np.max(out[idx] * out[idx] - 4 * p))
-        if worst > 0:
+        if int(np.abs(out[idx]).max()) > hasse_limit(p):
             raise RuntimeError(f"Hasse violated in trace table at p={p} (bug)")
     return out, good
 
@@ -295,7 +296,7 @@ def batch_traces(p: int, fam: FamilyPoly, ts, cache=None):
 
 def angle(rec: TraceRecord) -> float:
     """Frobenius angle psi in [0, pi] with cos(psi) = a / (2 sqrt(p))."""
-    if not _hasse_ok(rec.a, rec.p):
+    if abs(rec.a) > hasse_limit(rec.p):
         raise ValueError(f"trace {rec.a} violates the Hasse bound at p={rec.p}")
     return math.acos(rec.a / (2.0 * math.sqrt(rec.p)))
 

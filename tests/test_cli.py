@@ -564,3 +564,81 @@ def test_vertical_product_empty_set_exit_1(sets, capsys):
     assert code == 1
     assert captured.out == ""
     assert captured.err == "error: U and V must be non-empty\n"
+
+
+@pytest.mark.parametrize("p", ["2", "3", "9"])
+@pytest.mark.parametrize("words", [w for w, extra in EVERY_COMMAND.items() if "-p" in extra])
+def test_one_message_for_a_bad_prime(words, p, capsys):
+    extra = list(EVERY_COMMAND[words])
+    extra[extra.index("-p") + 1] = p
+    code = run([*words.split(), *FAM, *extra])
+    captured = capsys.readouterr()
+    assert code == 1
+    assert captured.out == ""
+    assert captured.err == ("error: requires p > 3\n" if p == "3" else
+                            f"error: {p} is not an odd prime\n")
+
+
+@pytest.mark.parametrize("argv", [
+    ["experiment", "mixed-product", *FAM, "-x", "30", "--set-u", "1..3", "--set-v", "1..3"],
+    ["cache", "stats", *FAM],
+], ids=["mixed-product", "cache-stats"])
+def test_empty_cache_path_refused(argv, monkeypatch, capsys):
+    def no_traces(*args, **kwargs):
+        raise AssertionError("trace work started before the cache path was checked")
+
+    monkeypatch.setattr("stlab.experiments.batch_traces", no_traces)
+    for env in (None, ""):  # an unset or empty STLAB_CACHE overrides nothing
+        if env is None:
+            monkeypatch.delenv("STLAB_CACHE", raising=False)
+        else:
+            monkeypatch.setenv("STLAB_CACHE", env)
+        code = run([*argv, "--cache", ""])
+        captured = capsys.readouterr()
+        assert code == 1
+        assert captured.out == ""
+        assert captured.err.count("\n") == 1 and "--cache" in captured.err
+
+
+def test_angles_product_empty_set_exit_1(capsys):
+    code = run(["angles", *FAM, "-p", "101", "--kind", "product",
+                "--set-u", "5..1", "--set-v", "1..3"])
+    captured = capsys.readouterr()
+    assert code == 1
+    assert captured.out == ""
+    assert captured.err == "error: U and V must be non-empty\n"
+
+
+BUILDERS = ("sieve_arith", "primes_upto", "subgroup", "product_residues", "geometric",
+            "interval_params")
+
+
+@pytest.mark.parametrize("argv", [
+    ["sums", "vaughan", "-L", "500"],
+    ["sums", "mobius", "-L", "500"],
+    ["sums", "prime-sym", "-L", "500"],
+    ["experiment", "vertical-primes", "-L", "500"],
+    ["experiment", "vertical-subgroup", "-r", "2"],
+    ["experiment", "vertical-product", "--set-u", "1..3", "--set-v", "1..3"],
+    *(["angles", "--kind", kind, *extra] for kind, extra in sorted(ANGLE_KINDS.items())),
+], ids=lambda argv: f"angles-{argv[2]}" if argv[0] == "angles" else "-".join(argv[:2]))
+def test_prime_above_table_limit_refused_before_any_set(argv, monkeypatch, capsys):
+    # 8388617 is the first prime above TABLE_LIMIT = 2**23; no sieve and no
+    # parameter set is built, and no array of that length is allocated
+    def fail(*args, **kwargs):
+        raise AssertionError("a sieve or parameter set was built before the refusal")
+
+    for module in ("stlab.cli", "stlab.experiments"):
+        for name in BUILDERS:
+            monkeypatch.setattr(f"{module}.{name}", fail, raising=False)
+    tracemalloc.start()
+    try:
+        code = run([*argv, *FAM, "-p", "8388617"])
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    captured = capsys.readouterr()
+    assert code == 3
+    assert captured.out == ""
+    assert captured.err.startswith("refused: ") and "8388608" in captured.err
+    assert peak < 4 << 20

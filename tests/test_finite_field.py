@@ -16,6 +16,7 @@ from stlab.finite_field import (
     mult_order,
     power_table,
     primitive_root,
+    require_prime_above_3,
 )
 
 SMALL_PRIMES = [5, 7, 11, 13, 17, 19, 23, 29, 31, 41, 53, 97, 101, 151, 211]
@@ -112,6 +113,30 @@ def test_power_table_matches_pow(p):
     pw = power_table(g, p)
     assert pw.dtype == np.int64
     assert pw.tolist() == [pow(g, z, p) for z in range(p - 1)]
+
+
+def test_power_table_length_and_int64_guard():
+    assert power_table(3, 7, 0).tolist() == []
+    assert power_table(3, 7, 14).tolist() == [pow(3, z, 7) for z in range(14)]
+    # the blockwise product of two powers must stay below 2**63
+    small, big = 3037000493, 3037000507  # the primes around sqrt(2**63)
+    assert is_prime(small) and is_prime(big) and small**2 < 2**63 <= big**2
+    assert power_table(2, small, 5).tolist() == [pow(2, z, small) for z in range(5)]
+    with pytest.raises(RefusedError, match="2\\*\\*63"):
+        power_table(2, big, 5)
+
+
+def test_one_prime_check():
+    for p in (-7, 0, 1, 2, 4, 9, 15, 3 * 5 * 7 * 11):
+        with pytest.raises(ValueError, match=f"^{p} is not an odd prime$"):
+            require_prime_above_3(p)
+    with pytest.raises(ValueError, match="^requires p > 3$"):
+        require_prime_above_3(3)
+    for p in (5, 7, 101, 8388617):
+        require_prime_above_3(p)
+    ResidueTable.build(3)  # the table still exists at p = 3
+    with pytest.raises(ValueError, match="^9 is not an odd prime$"):
+        ResidueTable.build(9)
 
 
 def test_residue_table_holds_the_power_table():

@@ -6,7 +6,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from stlab.finite_field import is_prime, mult_order
+from stlab.finite_field import is_prime, mult_order, primitive_root
 from stlab.param_sets import (
     ArithTables,
     divisor_window_count,
@@ -28,6 +28,29 @@ def test_subgroup_examples():
     assert subgroup(7, 3).descriptor == "subgroup:p=7:r=3"
     with pytest.raises(ValueError):
         subgroup(7, 4)
+
+
+def test_subgroup_and_geometric_match_pow_below_500():
+    # both read power_table; the reference steps through pow for every prime
+    # below 500, every r | p - 1, T up to 2(p - 1) and lambda = +-1 mod p
+    for p in [q for q in range(3, 500) if is_prime(q)]:
+        g = primitive_root(p)
+        for r in [r for r in range(1, p) if (p - 1) % r == 0]:
+            h = pow(g, (p - 1) // r, p)
+            assert subgroup(p, r).elements == tuple(pow(h, i, p) for i in range(r))
+        for lam in (2, 3, -2, p + 1, 1, p - 1, -1, 2 * p - 1, 10**30 + 7):
+            if lam % p == 0:
+                continue
+            want = [pow(lam, t, p) for t in range(1, 2 * (p - 1) + 1)]
+            for T in (1, 2, p - 2, p - 1, p, 2 * (p - 1)):
+                if T >= 1:
+                    assert geometric(lam, T, p).elements == tuple(want[:T]), (p, lam, T)
+
+
+def test_product_residues_refuses_empty_sets():
+    for U, V in (([], [1, 2]), ([1, 2], []), ([], [])):
+        with pytest.raises(ValueError, match="U and V must be non-empty"):
+            product_residues(U, V, 101)
 
 
 @pytest.mark.parametrize("p", [5, 13, 101, 997])

@@ -175,10 +175,14 @@ def test_niederreiter_examples():
 
 
 def test_discrepancy_report_recipe():
-    s = AngleSample(np.full(10_000, math.pi / 2))
-    assert discrepancy_report(s, sigma_hint=10_000).k_used == 1
-    assert discrepancy_report(s, sigma_hint=100.0, a_hint=1.0).k_used == 10
+    # all angles at 0: sym_n = n + 1, so sigma = max (n + 1) m / n = 2m >= m
+    zeros = AngleSample(np.zeros(100))
+    assert discrepancy_report(zeros).k_used == 1
+    # angles at pi/2: sym_n is 0 for odd n and +-1 for even n, so sigma = m/2
+    # (at n = 2) and k = ceil((m / sigma)^(1/2)) = ceil(sqrt 2) = 2
+    halves = AngleSample(np.full(10_000, math.pi / 2))
+    assert discrepancy_report(halves).k_used == 2
     one = AngleSample(np.array([1.0]))
-    rep = discrepancy_report(one, sigma_hint=1.0)
+    rep = discrepancy_report(one)  # sigma >= |sym_1| = 2 cos 1 > 1 = m
     assert rep.k_used == 1 and rep.m == 1
     assert rep.interval_bound <= 2 * rep.star + 1e-12

@@ -1,4 +1,5 @@
 import ast
+import contextlib
 import math
 from pathlib import Path
 
@@ -7,8 +8,15 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from stlab import experiments as ex, finite_field, param_sets, traces
-from stlab.errors import RefusedError
-from stlab.family import CurveInstance, build_family, poly_eval_mod
+from stlab.errors import CacheError, RefusedError
+from stlab.family import (
+    CurveInstance,
+    build_family,
+    delta_at,
+    fingerprint_hex,
+    good_reduction,
+    poly_eval_mod,
+)
 from stlab.finite_field import ResidueTable, is_prime
 from stlab.sato_tate import Interval
 from stlab.store import open_cache
@@ -23,6 +31,7 @@ from stlab.traces import (
     angle_sample,
     batch_traces,
     count_points_naive,
+    hasse_limit,
     residue_angles,
     residue_traces,
     trace,
@@ -161,6 +170,31 @@ def test_no_assert_statements_in_src():
              for node in ast.walk(ast.parse(f.read_text(encoding="utf-8")))
              if isinstance(node, ast.Assert)]
     assert found == []
+
+
+def test_every_private_module_name_is_read_in_src():
+    # a module-level private function, class or constant that no code in
+    # src/ reads is dead: a helper left behind when its callers moved on
+    files = sorted((Path(__file__).resolve().parents[1] / "src" / "stlab").rglob("*.py"))
+    defined, read = [], set()
+    for f in files:
+        tree = ast.parse(f.read_text(encoding="utf-8"))
+        for node in tree.body:
+            if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)):
+                names = [node.name]
+            elif isinstance(node, (ast.Assign, ast.AnnAssign)):
+                targets = node.targets if isinstance(node, ast.Assign) else [node.target]
+                names = [n.id for t in targets for n in ast.walk(t) if isinstance(n, ast.Name)]
+            else:
+                continue
+            defined += [(f.name, n) for n in names if n.startswith("_") and not n.startswith("__")]
+        for node in ast.walk(tree):
+            if isinstance(node, ast.Name) and isinstance(node.ctx, ast.Load):
+                read.add(node.id)
+            elif isinstance(node, ast.Attribute):
+                read.add(node.attr)
+    assert len(defined) > 10
+    assert [f"{f}:{name}" for f, name in defined if name not in read] == []
 
 
 def _rows_by_enumeration(p):
@@ -351,3 +385,66 @@ def test_residue_angles_equal_per_residue_acos(fam_zz, p):
     assert np.array_equal(good, good_ref) and not good.all()
     assert np.isnan(psis[~good]).all()
     assert np.array_equal(psis, ref, equal_nan=True)
+
+
+@given(st.sampled_from([3, 5, 7, 11, 13, 31, 101, 1009]),
+       st.lists(st.integers(min_value=-30, max_value=30), min_size=1, max_size=3),
+       st.lists(st.integers(min_value=-30, max_value=30), min_size=1, max_size=3),
+       st.sampled_from(["plain", "f, g = 0 mod p", "delta = 0"]),
+       st.lists(st.integers(min_value=-10**20, max_value=10**20), min_size=1, max_size=40))
+@settings(max_examples=80)
+def test_good_mask_is_delta_nonzero_mod_p(p, fc, gc, kind, ts):
+    # residue_traces tests 4a^3 + 27b^2 on the reduced a = f(t), b = g(t);
+    # the exact integer delta(t) = -16(4f^3 + 27g^2) is the reference,
+    # also for families whose delta vanishes mod p or over Q
+    if kind == "f, g = 0 mod p":
+        fc, gc = [p * c for c in fc], [p * c for c in gc]
+    elif kind == "delta = 0":  # f = -3u^2, g = 2u^3 makes 4f^3 + 27g^2 = 0
+        u2 = np.convolve(fc, fc)
+        fc, gc = (-3 * u2).tolist(), (2 * np.convolve(u2, fc)).tolist()
+    if not any(fc) and not any(gc):
+        fc = [1]
+    fam = build_family(fc, gc)
+    _, good = residue_traces(fam, p, ts)
+    assert good.tolist() == [delta_at(fam, t) % p != 0 for t in ts]
+    assert [good_reduction(fam, t, p) for t in ts] == good.tolist()
+
+
+@pytest.mark.parametrize("p", [5, 101, 1013, 10**40 + 1])
+def test_hasse_checks_accept_the_limit_and_refuse_one_past(p, fam_zz, tmp_path, monkeypatch):
+    # at p = 10**40 + 1 the limit and the traces around it are past int64
+    lim = math.isqrt(4 * p)
+    assert hasse_limit(p) == lim and lim**2 <= 4 * p < (lim + 1) ** 2
+    head = f"# stlab-cache v1 family={fingerprint_hex(fam_zz)}\n"
+    path = tmp_path / "c.txt"
+    for a in (lim, -lim, lim + 1, -lim - 1):
+        ok = abs(a) == lim
+        if ok:
+            assert 0.0 <= angle(TraceRecord(p, 1, a)) <= math.pi
+        else:
+            with pytest.raises(ValueError, match="Hasse"):
+                angle(TraceRecord(p, 1, a))
+        if not ok or lim < 2**63:  # the cache stores traces as int64
+            path.unlink(missing_ok=True)
+            with contextlib.nullcontext() if ok else pytest.raises(CacheError, match="Hasse"):
+                open_cache(str(path), fam_zz).put_many(p, [1], [a])
+            path.write_text(head + f"{p},1,{a}\n")
+            with contextlib.nullcontext() if ok else pytest.raises(CacheError, match="Hasse"):
+                assert len(open_cache(str(path), fam_zz)) == 1
+        if p > 1013:
+            continue
+        # trace(): x -> x^3 + 1 permutes F_p for p = 2 mod 3, so a table with
+        # |a| entries -sign(a) and zeros elsewhere gives the trace a
+        leg = np.zeros(p, dtype=np.int8)
+        leg[:abs(a)] = -np.sign(a)
+        fake = ResidueTable(p, leg, ResidueTable.build(p).pw)
+        monkeypatch.setattr(traces, "_table_traces",
+                            lambda tbl, x, y: np.full(len(x), a, dtype=np.int64))
+        if ok:
+            assert trace(CurveInstance(p, 0, 1), fake) == a
+            assert residue_traces(fam_zz, p, [1], fake)[0].tolist() == [a]
+        else:
+            with pytest.raises(RuntimeError, match="Hasse"):
+                trace(CurveInstance(p, 0, 1), fake)
+            with pytest.raises(RuntimeError, match="Hasse"):
+                residue_traces(fam_zz, p, [1], fake)
