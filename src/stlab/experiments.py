@@ -25,6 +25,7 @@ from .param_sets import (
     order_sum,
     primes_upto,
     product_residues,
+    require_sieve_size,
     sieve_arith,
     subgroup,
     subgroup_index,
@@ -33,6 +34,14 @@ from .sato_tate import Interval, chebyshev_U, mu_st, sym_terms
 from .traces import acos_once, batch_traces, param_array, residue_angles, residue_traces
 
 PRIME2_NOTE = "bracket omits the L^(c/log log L) factor; c is not effective"
+
+# L of the sums over t <= L.  Over the interpreter's own, a run peaks at about
+# 43 bytes per unit of L for vaughan_decompose and mobius_sums (the four
+# sieve tables, psi and the passes over them) and 6 for prime_sym_sum (the
+# prime mask and the primes), by ru_maxrss at L = 10**6 and 4 * 10**6 with
+# p = 1009: about 0.86 and 0.6 GB at the limits.
+IDENTITY_LIMIT = 2 * 10**7
+PRIME_SUM_LIMIT = 10**8
 
 
 # ---------------------------------------------------------------------------
@@ -438,8 +447,7 @@ def _psi_of_t(fam: FamilyPoly, p: int, L: int, n: int, psi_fn=None) -> np.ndarra
     a_vec, good = residue_traces(fam, p, ws)
     z = a_vec / (2.0 * math.sqrt(p))
     res_vals = np.where(good, chebyshev_U(n, z), 0.0)
-    t = np.arange(1, L + 1, dtype=np.int64)
-    out[1:] = res_vals[t % p]
+    out[1:] = np.resize(np.roll(res_vals, -1), L)  # t = 1, 2, ... mod p, cyclically
     return out
 
 
@@ -463,24 +471,34 @@ def _cuts(L: int, K: float | None, M: float | None) -> tuple[float, float]:
         M = L ** (1.0 / 3.0)
     if K < 1 or M < 1 or K * M > L + 1e-9:
         raise ValueError("need K, M >= 1 and K*M <= L")
+    require_sieve_size(L, IDENTITY_LIMIT, "L")
     return K, M
 
 
 def _type_ii(weights, tables, psi, L: int, K: float, M: float) -> float:
-    """|sum over M < m <= L/K, K < k <= L/m of weights[m] c[k] psi[km]|."""
+    """|sum over M < m <= L/K, K < k <= L/m of weights[m] c[k] psi[km]|.
+
+    Row m holds c[k] psi[km] for K < k <= L/m; its sum is np.sum of that
+    C-contiguous row.  Ascending m have non-increasing row lengths, so each
+    run of one length is read by one 2-D gather, whose .sum(axis=1) is the
+    same pairwise sum row by row.  The weighted row sums are then added in
+    ascending m.
+    """
     Mi, Ki = int(M), int(K)
     kmax = L // (Mi + 1) if L // (Mi + 1) >= 1 else 0
     c = _mobius_window_coeffs(tables, K, max(kmax, 1))
+    ks, cs = np.arange(Ki + 1, kmax + 1), c[Ki + 1:]  # a row of length n reads ks[:n]
+    ms = np.arange(Mi + 1, int(L / K) + 1)
+    ms = ms[(weights[ms] != 0.0) & (L // ms > Ki)]
+    lengths = L // ms - Ki
+    starts = np.flatnonzero(np.diff(lengths, prepend=-1)).tolist()
+    row_sums = np.empty(ms.size)
+    for i, j, n in zip(starts, starts[1:] + [ms.size], lengths[starts].tolist()):
+        row_sums[i:j] = (cs[:n] * psi[ms[i:j, None] * ks[:n]]).sum(axis=1)
     total = 0.0
-    for m in range(Mi + 1, int(L / K) + 1):
-        if weights[m] == 0.0:
-            continue
-        k_hi = L // m
-        if k_hi <= Ki:
-            continue
-        ks = np.arange(Ki + 1, k_hi + 1)
-        total += weights[m] * float(np.sum(c[ks] * psi[ks * m]))
-    return abs(float(total))
+    for w, s in zip(weights[ms].tolist(), row_sums.tolist()):
+        total += w * s
+    return abs(total)
 
 
 def vaughan_decompose(fam: FamilyPoly, p: int, L: int, K: float | None = None,
@@ -534,6 +552,7 @@ def prime_sym_sum(fam: FamilyPoly, p: int, L: int, n: int):
     _require_degree(n)
     if L < 2:
         raise ValueError("L must be >= 2")
+    require_sieve_size(L, PRIME_SUM_LIMIT, "L")
     _require_nondeg_mod_p(fam, p)
     ells = primes_upto(L).elements
     value = _sym_over_params(fam, p, ells, n)

@@ -144,8 +144,7 @@ def power_table(g: int, p: int, n: int | None = None) -> np.ndarray:
     Built blockwise: about 2 sqrt(n) Python steps for the inner and outer
     powers, then one outer product of entries below p**2 < 2**63.
     """
-    if p * p >= 1 << 63:
-        raise RefusedError(f"power table needs p**2 < 2**63, got p={p}")
+    _require_int64_products(p, "power table")
     if n is None:
         n = p - 1
     m = max(1, math.isqrt(n))
@@ -170,22 +169,73 @@ def _mod_inplace(x: np.ndarray, p: int) -> np.ndarray:
     return x
 
 
+def _require_int64_products(p: int, what: str) -> None:
+    """Refuse a modulus p whose product of two residues may leave int64."""
+    if p * p >= 1 << 63:
+        raise RefusedError(f"{what} needs p**2 < 2**63, got p={p}")
+
+
+def _powmod(b: np.ndarray, n: np.ndarray, p: np.ndarray) -> np.ndarray:
+    """b**n mod p entrywise, for int64 arrays with 0 <= b < p, n >= 0 and
+    p**2 < 2**63: one square-and-multiply round per bit of max(n).  With a
+    modulus per entry, `%` beats _mod_inplace (24 against 28 ms over 78k
+    entries of p <= 3 * 10**5; 2 vCPUs, numpy 2.4.6)."""
+    out = np.ones_like(b)
+    n = n.copy()
+    while n.any():
+        out = np.where((n & 1) == 1, out * b % p, out)
+        n >>= 1
+        b = b * b % p
+    return out
+
+
+def _reduce_mod(lam: int, p: np.ndarray) -> np.ndarray:
+    """lam mod p for every entry of p (int64, 0 < p < 2**32), exact for a
+    Python int lam of any size: Horner's rule over its 31-bit digits."""
+    mag = abs(lam)
+    digits = []
+    while mag:
+        digits.append(mag & 0x7FFFFFFF)
+        mag >>= 31
+    r = np.zeros_like(p)
+    for d in reversed(digits):
+        r = ((r << 31) + d) % p
+    return r if lam >= 0 else -r % p
+
+
+def mult_orders(lam: int, primes: np.ndarray, owner: np.ndarray, q: np.ndarray,
+                e: np.ndarray) -> np.ndarray:
+    """ord_p(lam) for every p in the int64 array primes, and 0 where p
+    divides lam.
+
+    p - 1 comes factored as flat int64 arrays: q[j]**e[j] exactly divides
+    primes[owner[j]] - 1, one entry per prime factor.  Per entry,
+    y = lam**((p-1) / q**e) has order q**k with k <= e, found by the steps
+    y <- y**q until y = 1; ord_p(lam) is the product of the q**k.
+    """
+    if primes.size:
+        _require_int64_products(int(primes.max()), "multiplicative order")
+    b = _reduce_mod(lam, primes)
+    p = primes[owner]
+    qe = q ** e
+    y = _powmod(b[owner], (p - 1) // qe, p)
+    part = np.ones_like(q)  # q**k once y**(q**k) = 1
+    live = np.flatnonzero(y != 1)
+    while live.size:
+        part[live] *= q[live]
+        live = live[part[live] < qe[live]]  # y**(q**e) = 1 needs no step
+        y[live] = _powmod(y[live], q[live], p[live])
+        live = live[y[live] != 1]
+    out = np.ones(primes.size, dtype=np.int64)
+    np.multiply.at(out, owner, part)
+    out[b == 0] = 0
+    return out
+
+
 def mult_order(lam: int, p: int) -> int:
-    """Least r >= 1 with lam**r = 1 mod p, found by stripping factors of p-1."""
-    lam %= p
-    if lam == 0:
+    """Least r >= 1 with lam**r = 1 mod p: mult_orders at one prime."""
+    if lam % p == 0:
         raise ValueError("order undefined: p divides lambda")
-    return _order_by_stripping(lam, p, factor(p - 1))
-
-
-def _order_by_stripping(lam: int, p: int, factors) -> int:
-    """ord_p(lam) for lam in [1, p), given p - 1 as (prime, exponent) pairs:
-    start from p - 1 and divide out each prime while lam**r stays 1."""
-    r = p - 1
-    for q, e in factors:
-        for _ in range(e):
-            if pow(lam, r // q, p) == 1:
-                r //= q
-            else:
-                break
-    return r
+    _require_int64_products(p, "multiplicative order")  # before factoring p - 1
+    q, e = np.array(factor(p - 1), dtype=np.int64).reshape(-1, 2).T
+    return int(mult_orders(lam, np.array([p]), np.zeros(q.size, dtype=np.int64), q, e)[0])

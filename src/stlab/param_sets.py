@@ -15,8 +15,9 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from .errors import RefusedError
 from .family import fnv1a_hex
-from .finite_field import _order_by_stripping, power_table, primitive_root
+from .finite_field import mult_orders, power_table, primitive_root
 
 
 @dataclass(frozen=True)
@@ -108,7 +109,6 @@ def sieve_arith(L: int) -> ArithTables:
     if L < 2:
         raise ValueError("L must be >= 2")
     lam = np.zeros(L + 1, dtype=np.float64)
-    mu = np.zeros(L + 1, dtype=np.int8)
     omega = np.zeros(L + 1, dtype=np.int16)
     tau = np.zeros(L + 1, dtype=np.int64)
     sqfree = np.ones(L + 1, dtype=bool)
@@ -138,34 +138,74 @@ def sieve_arith(L: int) -> ArithTables:
     for d in range(1, math.isqrt(L) + 1):
         tau[d * d] += 1
         tau[d * (d + 1)::d] += 2
-    # Mobius: mu(t) = (-1)^omega(t) on squarefree t, else 0
-    mu[1:] = np.where(sqfree[1:], np.where(omega[1:] % 2 == 0, 1, -1), 0)
+    # Mobius: mu(t) = (-1)^omega(t) = 1 - 2 (omega(t) mod 2) on squarefree t,
+    # else 0; and mu(0) = 0
+    sqfree[0] = False
+    mu = (omega & 1).astype(np.int8)
+    mu *= -2
+    mu += 1
+    mu *= sqfree
     return ArithTables(lam, mu, omega, tau)
+
+
+def require_sieve_size(n: int, limit: int, what: str) -> None:
+    """Raise RefusedError for a sieve bound n above limit, before any O(n) array."""
+    if n > limit:
+        raise RefusedError(f"{what}={n} exceeds the {limit} limit")
+
+
+# x of the order statistics.  `sums orders` peaks at about 5.4 bytes per unit
+# of x over the interpreter's own (the least-prime-factor table, then the
+# prime mask of divisor_window_count; ru_maxrss at x = 10**6 and 4 * 10**6),
+# about 0.54 GB at the limit.
+ORDERS_LIMIT = 10**8
+
+# Primes per array pass of order_sum.  At x = 3 * 10**5 the traced peak is
+# 2.9 MB (1.2 MB of it the least-prime-factor table) against 10.3 MB in one
+# pass, at the same speed (2 vCPUs, numpy 2.4.6).
+_ORDER_BLOCK = 4096
 
 
 def order_sum(x: int, lam: int, alpha: float) -> float:
     """sum over primes p <= x, p not dividing lam, of 1 / ord_p(lam)^alpha."""
     if abs(lam) <= 1:
         raise ValueError("|lambda| must exceed 1")
+    require_sieve_size(x, ORDERS_LIMIT, "x")
     spf = _least_prime_factors(x)
-    primes = np.flatnonzero(spf == 0)[2:].tolist()  # 0 and 1 are no primes
-    spf = spf.tolist()  # reads from a list are cheaper than numpy scalars
+    primes = np.flatnonzero(spf == 0)[2:]  # 0 and 1 are no primes
     total = 0.0
-    for p in primes:
-        b = lam % p
-        if b == 0:
-            continue
-        factors = []
-        n = p - 1
-        while n > 1:
-            q = spf[n] or n
-            e = 0
-            while n % q == 0:
-                n //= q
-                e += 1
-            factors.append((q, e))
-        total += 1.0 / _order_by_stripping(b, p, factors) ** alpha
+    for i in range(0, primes.size, _ORDER_BLOCK):
+        block = primes[i:i + _ORDER_BLOCK]
+        # ascending p, each term added in turn to a Python float, so the total
+        # does not depend on the block size
+        for r in mult_orders(lam, block, *_factor_by_spf(block - 1, spf)).tolist():
+            if r:  # 0: p divides lam
+                total += 1.0 / r ** alpha
     return total
+
+
+def _factor_by_spf(n: np.ndarray, spf: np.ndarray):
+    """The factorization of every n[i] >= 1 as flat (owner, q, e) arrays, q**e
+    exactly dividing n[owner]: one round per prime factor counted with
+    multiplicity, each dividing every unfinished n by its least prime factor."""
+    rest = n.astype(np.int64)
+    owners, qs = [], []
+    live = np.flatnonzero(rest > 1)
+    while live.size:
+        q = spf[rest[live]].astype(np.int64)
+        q = np.where(q == 0, rest[live], q)  # 0: rest is prime
+        owners.append(live)
+        qs.append(q)
+        rest[live] //= q
+        live = live[rest[live] > 1]
+    owner = np.concatenate([np.zeros(0, dtype=np.int64), *owners])
+    q = np.concatenate([np.zeros(0, dtype=np.int64), *qs])
+    # each round finds every q of an owner in ascending order, so a stable
+    # sort by owner makes every run of one (owner, q) adjacent
+    order = np.argsort(owner, kind="stable")
+    owner, q = owner[order], q[order]
+    first = np.flatnonzero(np.diff(owner, prepend=-1) | np.diff(q, prepend=-1))
+    return owner[first], q[first], np.diff(first, append=owner.size)
 
 
 def _least_prime_factors(n: int) -> np.ndarray:
@@ -184,6 +224,7 @@ def divisor_window_count(x: int, y: int) -> int:
     """#{p <= x : some divisor d of p-1 lies in (y, 2y]}."""
     if y < 3:
         raise ValueError("y must be >= 3")
+    require_sieve_size(x, ORDERS_LIMIT, "x")
     prime = _prime_mask(x)
     hit = np.zeros(len(prime), dtype=bool)
     for d in range(y + 1, min(2 * y, x) + 1):

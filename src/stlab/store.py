@@ -143,7 +143,10 @@ class TraceCache:
         out = np.flatnonzero((a < -lim) | (a > lim))
         if out.size:
             raise CacheError(f"refusing record violating Hasse: p={p}, a={a[out[0]]}")
-        a = a.astype(np.int64, copy=False)
+        try:  # a trace within the Hasse bound leaves int64 only for p >= 2**124
+            a = a.astype(np.int64, copy=False)
+        except OverflowError:
+            raise CacheError(f"refusing record whose trace leaves int64: p={p}") from None
         with self._lock:
             prev, held = self._held(p, ts)
             clash = np.flatnonzero(held & (prev != a))
@@ -272,6 +275,8 @@ def _parse_lines(path: str, body: str) -> dict[tuple[int, int], int]:
             raise CacheError(f"{path}:{lineno}: malformed row {line!r}") from None
         if abs(a) > hasse_limit(p):
             raise CacheError(f"{path}:{lineno}: Hasse violation p={p}, a={a}")
+        if not -_I64 <= a < _I64:
+            raise CacheError(f"{path}:{lineno}: trace a={a} leaves int64")
         prev = rows.get((p, t))
         if prev is not None and prev != a:
             raise CacheError(f"{path}:{lineno}: conflicting duplicate for ({p},{t})")

@@ -113,6 +113,20 @@ def test_cache_error_exit_4(case, tmp_path, capsys):
         assert captured.err.startswith(f"cache error: {path}:3:")
 
 
+def test_cache_stats_on_a_trace_past_int64_exit_4(tmp_path, capsys):
+    from stlab.family import build_family, fingerprint_hex
+
+    big_p = 10**40 + 1  # its Hasse bound, and so this trace, leaves int64
+    path = tmp_path / "c.txt"
+    path.write_text(f"# stlab-cache v1 family={fingerprint_hex(build_family([0, 1], [0, 1]))}\n"
+                    f"{big_p},1,{math.isqrt(4 * big_p)}\n")
+    code = run(["cache", "stats", "--cache", str(path), "--f", "0,1", "--g", "0,1"])
+    captured = capsys.readouterr()
+    assert code == 4
+    assert captured.out == ""
+    assert captured.err.startswith(f"cache error: {path}:2: trace a=")
+
+
 @pytest.mark.parametrize("parent", ["missing", "file"])
 def test_cache_dir_refused_before_any_trace(parent, tmp_path, monkeypatch, capsys):
     def no_traces(*args, **kwargs):
@@ -129,6 +143,31 @@ def test_cache_dir_refused_before_any_trace(parent, tmp_path, monkeypatch, capsy
     assert code == 4
     assert captured.out == ""
     assert captured.err.startswith(f"cache error: {path}")
+
+
+@pytest.mark.parametrize("argv,limit", [
+    (["sums", "vaughan", "-p", "101", "-L"], "stlab.experiments.IDENTITY_LIMIT"),
+    (["sums", "mobius", "-p", "101", "-L"], "stlab.experiments.IDENTITY_LIMIT"),
+    (["sums", "prime-sym", "-p", "101", "-L"], "stlab.experiments.PRIME_SUM_LIMIT"),
+    (["sums", "orders", "--lam", "2", "--window-y", "5", "-x"],
+     "stlab.param_sets.ORDERS_LIMIT"),
+], ids=["vaughan", "mobius", "prime-sym", "orders"])
+def test_sums_size_refused_before_any_sieve(argv, limit, monkeypatch, capsys):
+    def no_sieve(*args, **kwargs):
+        raise AssertionError("a sieve started")
+
+    for name in ("stlab.experiments.sieve_arith", "stlab.param_sets._prime_mask",
+                 "stlab.param_sets._least_prime_factors"):
+        monkeypatch.setattr(name, no_sieve)
+    module, attr = limit.rsplit(".", 1)
+    at = getattr(sys.modules[module], attr)
+    fam = [] if "orders" in argv else ["--f", "0,1", "--g", "0,1"]
+    assert run([*argv, str(at + 1), *fam]) == 3
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == f"refused: {argv[-1].lstrip('-')}={at + 1} exceeds the {at} limit\n"
+    with pytest.raises(AssertionError, match="a sieve started"):  # the limit itself is admitted
+        run([*argv, str(at), *fam])
 
 
 @pytest.mark.parametrize("argv", [
@@ -454,6 +493,43 @@ def test_report_bytes_pinned(case, tmp_path, capsys, monkeypatch):
     monkeypatch.chdir(tmp_path)
     monkeypatch.delenv("STLAB_CACHE", raising=False)
     assert report_digests(REPORT_CASES[case], capsys) == REPORT_DIGESTS[case]
+
+
+# The sums commands at the sizes of the benchmark's sums workload (p = 1009,
+# L = 10**6, x = 3 * 10**5), for f = g = Z and for the family that seed 1 of
+# the benchmark draws; digests taken as above, recorded at commit e0b4675,
+# before the sums loops became array passes.
+BENCH_SIZE_FAMILIES = {"zz": ["--f", "0,1", "--g", "0,1"],
+                       "seed1": ["--f=-4,-6,-5", "--g=1,-9,5"]}
+BENCH_SIZE_CASES = {
+    **{f"{kind}-{name}-n{n}": ["sums", kind, *fam, "-p", "1009", "-L", "1000000",
+                               "-n", str(n)]
+       for name, fam in BENCH_SIZE_FAMILIES.items()
+       for kind in ("vaughan", "mobius") for n in (1, 2)},
+    "orders-lam2": ["sums", "orders", "-x", "300000", "--lam", "2", "--window-y", "50"],
+    "orders-lam2-half": ["sums", "orders", "-x", "300000", "--lam", "2",
+                         "--alpha-exp", "0.5"],
+    "orders-lam-6-half": ["sums", "orders", "-x", "300000", "--lam", "-6",
+                          "--alpha-exp", "0.5"],
+}
+BENCH_SIZE_DIGESTS = {
+    "vaughan-zz-n1": "9758449a15bdb0e913e5040209cfdf5af376b08f077cc108c4d76d4ff5366428",
+    "vaughan-zz-n2": "7e2954ac1cf40a4d52a954c81d842722d151a4516092e7f70b4426650b23e151",
+    "mobius-zz-n1": "32045438d793b59dc731439d17bf06943d950c2d19513a82d107e317da444e0e",
+    "mobius-zz-n2": "6e57d98d9fc4a92597119ecc2b7d549a81a706683e49b1ac1426799f11850f6e",
+    "vaughan-seed1-n1": "1d1d0d04b6d43d554b4bd7f3a697170d332830e28a651bbe8868f4f038abe20c",
+    "vaughan-seed1-n2": "8ad2f147d33c0059e1458b2d1d9681faed0eaa44539b996a3697a587950d407d",
+    "mobius-seed1-n1": "dd8084a6c07cb07ed2d30525e9f94f80e364aba7a4e36ff8cf029d9b40718546",
+    "mobius-seed1-n2": "71f55b18e6768e8ce9a4785d130d397ed5987d55d77689a28d78180cf30dadf7",
+    "orders-lam2": "392c2e4eebc76caae7985ba2df8745553d2f40e78871828a3e3adfbcb6a8f727",
+    "orders-lam2-half": "f8fa6144d1d05d560f37b3cc3cc75345bbda19dfcfea234789f7d0d8e546c130",
+    "orders-lam-6-half": "f9b1a8f277843f4721b70e5aa39759465cdcd9ae26a128a4fa27b6df7073b4a0",
+}
+
+
+@pytest.mark.parametrize("case", sorted(BENCH_SIZE_CASES))
+def test_report_bytes_pinned_at_benchmark_size(case, capsys):
+    assert report_digests([BENCH_SIZE_CASES[case]], capsys) == [BENCH_SIZE_DIGESTS[case]]
 
 
 def readme_commands():

@@ -12,13 +12,13 @@ from collections import Counter
 import numpy as np
 import pytest
 
-from oracles import IndexTable, character_eval
+from oracles import IndexTable, character_eval, psi_of_t_by_index, type_ii_per_row
 from stlab import experiments as ex
 from stlab.cli import run
 from stlab.errors import NondegeneracyError
 from stlab.family import CurveInstance, build_family, delta_at
 from stlab.finite_field import mult_order, power_table, primitive_root
-from stlab.param_sets import primes_upto, subgroup
+from stlab.param_sets import primes_upto, sieve_arith, subgroup
 from stlab.sato_tate import FULL, Interval, mu_st
 from stlab.traces import count_points_naive, param_array
 
@@ -579,6 +579,67 @@ def test_mobius_squarefree_bound(fam_zz):
     rep = ex.mobius_sums(fam_zz, 101, L, n)
     squarefree = sum(1 for t in range(1, L + 1) if trial_mu(t) != 0)
     assert abs(rep.abs_mu_sum) <= (n + 1) * squarefree
+
+
+SUMS_L = [2, 3, 10, 97, 1000, 99991, 10**6]
+
+
+def _cut_choices(L):
+    """The default cuts and others with K, M >= 1 and K M <= L; small cuts
+    only while the per-row loop over m <= L / K stays short."""
+    small = [(1.0, 1.0), (2.0, 1.0), (1.0, 3.0), (3.7, 2.2)] if L <= 1000 else []
+    return [(None, None), *((K, M) for K, M in [*small, (40.0, 25.0)] if K * M <= L)]
+
+
+@pytest.mark.parametrize("L", SUMS_L[:-1])
+def test_type_ii_matches_the_per_row_loop(fam_zz, L):
+    tables = sieve_arith(L)
+    psis = [ex._psi_of_t(fam_zz, 1009, L, n) for n in (1, 2, 5)]
+    psis.append(ex._psi_of_t(fam_zz, 1009, L, 1, psi_fn=lambda t: math.sin(t) / t))
+    for K, M in _cut_choices(L):
+        K, M = ex._cuts(L, K, M)
+        for weights in (tables.lam, tables.mu.astype(np.float64)):
+            for psi in psis:
+                want = type_ii_per_row(weights, tables, psi, L, K, M)
+                assert ex._type_ii(weights, tables, psi, L, K, M) == want, (L, K, M)
+
+
+@pytest.mark.parametrize("L", SUMS_L)
+def test_identity_sums_match_the_per_row_loops(fam_zz, L, monkeypatch):
+    # the reports of the array passes against those of the loops they
+    # replaced (psi read as res_vals[t % p], one np.sum per m), with ==
+    cuts = _cut_choices(L)[:1 if L == 10**6 else 3]
+    runs = [(n, K, M, None) for n in (1, 2, 5) for K, M in cuts]
+    if L < 10**6:  # the hook calls Python once per t
+        runs.append((1, None, None, lambda t: (-1.0) ** t / t))
+    reports = []
+    for _ in range(2):
+        reports.append([
+            (ex.vaughan_decompose(fam_zz, 1009, L, K=K, M=M, n=n, psi_fn=psi_fn),
+             ex.mobius_sums(fam_zz, 1009, L, n, K=K, M=M) if psi_fn is None else None)
+            for n, K, M, psi_fn in runs])
+        monkeypatch.setattr(ex, "_psi_of_t", psi_of_t_by_index)
+        monkeypatch.setattr(ex, "_type_ii", type_ii_per_row)
+    assert reports[0] == reports[1]
+
+
+def test_numpy_reduction_order_canary():
+    # _type_ii sums a run of equal-length rows with one .sum(axis=1), and
+    # reports stay byte-identical only while that equals each row's own
+    # np.sum, and while a strided sum (sigma2, omega2) equals the sum of its
+    # contiguous copy.  A numpy that changes its summation order fails here.
+    rng = np.random.default_rng(0)
+    for n in [*range(1, 301), 1000, 4099, 10007]:
+        for rows in (1, 3, 40):
+            X = rng.standard_normal((rows, n)) * 10.0 ** rng.integers(-6, 7, (rows, n))
+            sums = X.sum(axis=1)
+            assert all(sums[i] == X[i].sum() for i in range(rows)), n
+    psi = rng.standard_normal(10**5) * 10.0 ** rng.integers(-6, 7, 10**5)
+    for k in (1, 2, 3, 7, 64, 999):
+        assert psi[k::k].sum() == np.ascontiguousarray(psi[k::k]).sum(), k
+    # the check has teeth: summed left to right, such a row rounds differently
+    row = rng.random(4099)
+    assert row.sum() != np.cumsum(row)[-1]
 
 
 def test_full_field_niederreiter_diagnostic(fam_zz, capsys):

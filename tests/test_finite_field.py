@@ -4,16 +4,22 @@ import numpy as np
 import pytest
 from hypothesis import given, strategies as st
 
-from oracles import INDEX_TABLE_LIMIT, IndexTable, character_eval
+from oracles import (
+    INDEX_TABLE_LIMIT,
+    IndexTable,
+    character_eval,
+    order_by_stripping,
+    orders_by_stepping,
+)
 from stlab.errors import RefusedError
 from stlab.finite_field import (
     TABLE_LIMIT,
     ResidueTable,
-    _order_by_stripping,
     factor,
     is_prime,
     legendre,
     mult_order,
+    mult_orders,
     power_table,
     primitive_root,
     require_prime_above_3,
@@ -223,11 +229,50 @@ def test_mult_order_divides_and_minimal(p, lam):
         assert pow(lam, r // q, p) != 1
 
 
+def _factored(primes):
+    """p - 1 of every prime as the flat (owner, q, e) arrays of mult_orders."""
+    rows = [(i, q, e) for i, p in enumerate(primes) for q, e in factor(p - 1)]
+    return tuple(np.array(rows, dtype=np.int64).reshape(-1, 3).T)
+
+
 @pytest.mark.parametrize("lam", [2, 3, -1, 10])
 def test_order_by_stripping_matches_mult_order(lam):
-    for p in (p for p in range(2, 2000) if is_prime(p) and lam % p):
+    primes = [p for p in range(2, 2000) if is_prime(p) and lam % p]
+    orders = mult_orders(lam, np.array(primes), *_factored(primes)).tolist()
+    for p, got in zip(primes, orders):
         r, w = 1, lam % p  # the oracle: step through the powers of lam
         while w != 1:
             w = w * lam % p
             r += 1
-        assert _order_by_stripping(lam % p, p, factor(p - 1)) == mult_order(lam, p) == r, p
+        assert order_by_stripping(lam % p, p, factor(p - 1)) == got == mult_order(lam, p) == r, p
+
+
+PRIMES_BELOW_5000 = [p for p in range(2, 5000) if is_prime(p)]
+
+
+@pytest.mark.parametrize("lam", [2, -2, 3, -6, 30, 2**62 + 1, 2**70 + 3])
+def test_mult_orders_match_power_stepping(lam):
+    # every prime below 5000, p = 2 and 3 and the p dividing lam among them;
+    # 2**62 + 1 and 2**70 + 3 reduce exactly although they leave int64
+    primes = PRIMES_BELOW_5000
+    want = orders_by_stepping(lam, primes)
+    assert any(r == 0 for r in want)
+    assert mult_orders(lam, np.array(primes), *_factored(primes)).tolist() == want
+    for p, r in zip(primes, want):
+        if r:
+            assert mult_order(lam, p) == r, p
+        else:
+            with pytest.raises(ValueError, match="divides"):
+                mult_order(lam, p)
+
+
+def test_mult_orders_int64_guard():
+    small, big = 3037000493, 3037000507  # the primes around sqrt(2**63)
+    r = mult_order(2, small)
+    assert (small - 1) % r == 0 and pow(2, r, small) == 1
+    assert all(pow(2, r // q, small) != 1 for q, _ in factor(r))
+    with pytest.raises(RefusedError, match="2\\*\\*63"):
+        mult_order(2, big)
+    with pytest.raises(RefusedError, match="2\\*\\*63"):
+        mult_orders(2, np.array([5, big]), *_factored([5, big]))
+    assert mult_orders(2, np.zeros(0, dtype=np.int64), *_factored([])).tolist() == []

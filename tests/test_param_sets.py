@@ -6,6 +6,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from oracles import order_sum_per_prime
 from stlab.finite_field import is_prime, mult_order, primitive_root
 from stlab.param_sets import (
     ArithTables,
@@ -224,6 +225,13 @@ def test_order_sum_against_mult_order(x, lam, alpha):
     primes = primes_upto(x).elements if x >= 2 else ()
     expected = sum(1.0 / mult_order(lam, p) ** alpha for p in primes if lam % p)
     assert order_sum(x, lam, alpha) == expected
+
+
+@pytest.mark.parametrize("x", [-5, 0, 1, 2, 3, 20, 20000, 300000])
+@pytest.mark.parametrize("lam", [2, -6, 2**70 + 3])
+def test_order_sum_matches_the_per_prime_loop(x, lam):
+    for alpha in (0.5, 1.0):
+        assert order_sum(x, lam, alpha) == order_sum_per_prime(x, lam, alpha)
 
 
 def test_divisor_window_examples():

@@ -95,6 +95,29 @@ def test_hasse_checked_on_load(fam_zz, tmp_path):
         open_cache(str(path), fam_zz)
 
 
+# A trace within the Hasse bound of this p leaves int64 (only p >= 2**124 can)
+BIG_P = 10**40 + 1
+BIG_A = math.isqrt(4 * BIG_P)
+
+
+def test_trace_past_int64_refused_by_put_many(fam_zz, tmp_path):
+    cache = open_cache(str(tmp_path / "c.txt"), fam_zz)
+    with pytest.raises(CacheError, match=f"leaves int64: p={BIG_P}"):
+        cache.put_many(BIG_P, [1], [BIG_A])
+    assert len(cache) == 0
+
+
+def test_trace_past_int64_refused_on_load(fam_zz, tmp_path):
+    from stlab.family import fingerprint_hex
+
+    path = tmp_path / "c.txt"
+    path.write_text(f"# stlab-cache v1 family={fingerprint_hex(fam_zz)}\n5,1,-3\n"
+                    f"{BIG_P},1,{BIG_A}\n")
+    with pytest.raises(CacheError) as err:
+        open_cache(str(path), fam_zz)
+    assert str(err.value) == f"{path}:3: trace a={BIG_A} leaves int64"
+
+
 def test_round_trip_many_records(fam_zz, tmp_path):
     rng = random.Random(20260809)
     path = str(tmp_path / "c.txt")
