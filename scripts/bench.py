@@ -1,0 +1,98 @@
+#!/usr/bin/env python3
+"""Paired benchmark of two checkouts over one perfbench workload.
+
+    python3 scripts/bench.py --base ../parent --change . --workload sums \\
+        --pairs 10 --out BENCH.json
+
+Runs `perfbench/run.py --trace 0` in each checkout, alternating which side
+goes first, with seed = pair index and run.py's own run length.  The JSON
+file at --out maps each workload to its entry, so one file collects several
+invocations; an entry holds every run's metrics, `correct` and `failed`,
+per side the median and quartiles of each end-to-end metric, the number of
+pairs the change wins per metric (by the direction in the change's
+BENCHMARK.json), and each side's machine record from run.py's diagnostics
+line.  The workloads are perfbench's own.  Exits 1 when a run gives no result or is not correct,
+after writing the file.
+"""
+
+import argparse
+import json
+import statistics
+import subprocess
+import sys
+from pathlib import Path
+
+SIDES = ("base", "change")
+
+
+def run_once(checkout: Path, workload: str, seed: int, smoke: bool) -> dict:
+    """One untraced perfbench run; its result line and machine record, or the error."""
+    argv = [sys.executable, "perfbench/run.py", "--workload", workload, "--seed", str(seed),
+            "--trace", "0", *(["--smoke"] if smoke else [])]
+    proc = subprocess.run(argv, cwd=checkout, capture_output=True, text=True)
+    lines = proc.stdout.strip().splitlines()
+    try:
+        record, result = json.loads(lines[-2]), json.loads(lines[-1])
+    except (IndexError, json.JSONDecodeError):
+        return {"seed": seed, "returncode": proc.returncode, "error": proc.stderr[-2000:]}
+    return {"seed": seed, "correct": result["correct"], "failed": result["failed"],
+            "metrics": {k: v["value"] for k, v in result["metrics"].items()},
+            "machine": record["machine"]}
+
+
+def summary(values: list[float]) -> dict:
+    """Median and quartiles; one value is its own quartiles."""
+    q1, med, q3 = (statistics.quantiles(values, n=4, method="inclusive")
+                   if len(values) > 1 else values * 3)
+    return {"median": med, "q1": q1, "q3": q3}
+
+
+def main(argv=None) -> int:
+    ap = argparse.ArgumentParser(description=__doc__.split("\n")[0])
+    ap.add_argument("--base", type=Path, required=True, help="checkout of the parent")
+    ap.add_argument("--change", type=Path, required=True, help="checkout of the change")
+    ap.add_argument("--workload", required=True)
+    ap.add_argument("--pairs", type=int, default=10)
+    ap.add_argument("--smoke", action="store_true", help="perfbench's reduced sizes")
+    ap.add_argument("--out", type=Path, required=True)
+    args = ap.parse_args(argv)
+    if args.pairs < 1:
+        ap.error("--pairs must be >= 1")
+
+    spec = json.loads((args.change / "BENCHMARK.json").read_text())
+    lower = {m["name"]: m["better"] == "lower" for m in spec["end_to_end"]}
+    runs = {side: [] for side in SIDES}
+    for pair in range(args.pairs):
+        order = SIDES if pair % 2 == 0 else SIDES[::-1]
+        for side in order:
+            checkout = getattr(args, side)
+            runs[side].append(run_once(checkout, args.workload, pair, args.smoke))
+            print(f"pair {pair} {side}: {runs[side][-1].get('metrics', 'no result')}",
+                  file=sys.stderr)
+
+    ok = all(r.get("correct") for side in SIDES for r in runs[side])
+    stats = {side: {} for side in SIDES}
+    wins = {}
+    for name, is_lower in lower.items():
+        values = {side: [r.get("metrics", {}).get(name) for r in runs[side]] for side in SIDES}
+        for side in SIDES:
+            measured = [v for v in values[side] if v is not None]
+            if measured:
+                stats[side][name] = summary(measured)
+        wins[name] = sum(b is not None and c is not None and (c < b if is_lower else c > b)
+                         for b, c in zip(values["base"], values["change"]))
+    out = json.loads(args.out.read_text()) if args.out.exists() else {}
+    out[args.workload] = {
+        "pairs": args.pairs, "smoke": args.smoke, "correct": ok,
+        "machine": {side: next((r["machine"] for r in runs[side] if "machine" in r), None)
+                    for side in SIDES},
+        "summary": stats, "change_wins": wins,
+        "runs": {side: [{k: v for k, v in r.items() if k != "machine"} for r in runs[side]]
+                 for side in SIDES},
+    }
+    args.out.write_text(json.dumps(out, indent=1, sort_keys=True) + "\n")
+    return 0 if ok else 1
+
+
+if __name__ == "__main__":
+    sys.exit(main())

@@ -20,6 +20,7 @@ from .errors import NondegeneracyError
 from .family import FamilyPoly, check_nondeg_global, check_nondeg_mod_p
 from .finite_field import ResidueTable, mult_order, require_table_size
 from .param_sets import (
+    divisor_counts,
     erdos_delta,
     geometric,
     order_sum,
@@ -36,10 +37,10 @@ from .traces import acos_once, batch_traces, param_array, residue_angles, residu
 PRIME2_NOTE = "bracket omits the L^(c/log log L) factor; c is not effective"
 
 # L of the sums over t <= L.  Over the interpreter's own, a run peaks at about
-# 43 bytes per unit of L for vaughan_decompose and mobius_sums (the four
+# 34 bytes per unit of L for mobius_sums and 30 for vaughan_decompose (the two
 # sieve tables, psi and the passes over them) and 6 for prime_sym_sum (the
 # prime mask and the primes), by ru_maxrss at L = 10**6 and 4 * 10**6 with
-# p = 1009: about 0.86 and 0.6 GB at the limits.
+# p = 1009: about 0.68 and 0.6 GB at the limits.
 IDENTITY_LIMIT = 2 * 10**7
 PRIME_SUM_LIMIT = 10**8
 
@@ -531,8 +532,8 @@ def vaughan_decompose(fam: FamilyPoly, p: int, L: int, K: float | None = None,
         arr = psi[k::k]
         if arr.size == 0:
             continue
-        suffix = np.cumsum(arr[::-1])[::-1]
-        sigma3 += float(np.max(np.abs(suffix)))
+        suffix = np.cumsum(arr[::-1])  # the suffix sums, last first
+        sigma3 += float(np.abs(suffix, out=suffix).max())
 
     sigma4 = _type_ii(lam_vals, tables, psi, L, K, M)
 
@@ -577,10 +578,10 @@ def mobius_sums(fam: FamilyPoly, p: int, L: int, n: int, K: float | None = None,
     cut = int(max(K, M))
     omega1 = abs(float(np.sum(mu[1:cut + 1] * psi[1:cut + 1])))
 
-    km = int(K * M)
+    tau = divisor_counts(int(K * M)).tolist()
     omega2 = 0.0
-    for k in range(1, km + 1):
-        omega2 += int(tables.tau[k]) * abs(float(psi[k::k].sum()))
+    for k in range(1, len(tau)):
+        omega2 += tau[k] * abs(float(psi[k::k].sum()))
 
     omega4 = _type_ii(mu, tables, psi, L, K, M)
 

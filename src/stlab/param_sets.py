@@ -2,10 +2,10 @@
 
 Generators: multiplicative subgroups of F_p*, product multisets U*V, primes
 up to L, geometric progressions lambda^t, plain intervals.  One Eratosthenes
-prime mask underlies the primes, the von Mangoldt, Mobius, omega and tau
-tables, and divisor_window_count.  order_sum, the other order statistic of
-the geometric-progression experiments, reads its primes and the
-factorization of each p - 1 from one least-prime-factor table.
+prime mask underlies the primes, the von Mangoldt and Mobius tables and
+divisor_window_count.  order_sum, the other order statistic of the
+geometric-progression experiments, reads its primes and the factorization of
+each p - 1 from one least-prime-factor table.
 """
 
 from __future__ import annotations
@@ -96,56 +96,54 @@ def interval_params(M: int, N: int) -> ParamSet:
 
 @dataclass(frozen=True)
 class ArithTables:
-    """lam = von Mangoldt, mu = Mobius, omega = #prime divisors, tau = #divisors."""
+    """lam = von Mangoldt, mu = Mobius."""
 
     lam: np.ndarray
     mu: np.ndarray
-    omega: np.ndarray
-    tau: np.ndarray
 
 
 def sieve_arith(L: int) -> ArithTables:
-    """Fill the four arithmetic tables for 1 <= t <= L."""
+    """Fill the von Mangoldt and Mobius tables for 1 <= t <= L."""
     if L < 2:
         raise ValueError("L must be >= 2")
     lam = np.zeros(L + 1, dtype=np.float64)
-    omega = np.zeros(L + 1, dtype=np.int16)
-    tau = np.zeros(L + 1, dtype=np.int64)
-    sqfree = np.ones(L + 1, dtype=bool)
+    # mu(t) = (-1)^omega(t) on squarefree t, else 0: each prime q | t flips the
+    # sign once, and q**2 | t zeroes it for good; mu(0) = 0
+    mu = np.ones(L + 1, dtype=np.int8)
     primes = np.flatnonzero(_prime_mask(L))
     n_small = int(np.searchsorted(primes, math.isqrt(L), side="right"))
     for q in primes[:n_small].tolist():
-        omega[q::q] += 1
-        sqfree[q * q::q * q] = False
+        sign = mu[q::q]
+        np.negative(sign, out=sign)
+        mu[q * q::q * q] = 0
         logq = math.log(q)
         qk = q
         while qk <= L:
             lam[qk] = logq
             qk *= q
     # A prime q > isqrt(L) has q**2 > L: lam is log q at q alone (math.log of
-    # the exact float(q), since np.log may differ in the last bit), and
-    # sqfree keeps all its multiples.  For each m the multiples m*q of the
-    # big primes q <= L // m are distinct, so one scatter per m adds them all
-    # to omega.  Bertrand puts a big prime in (isqrt(L), L], so big is never
-    # empty.
+    # the int q; np.log may differ in the last bit) and mu only flips sign.
+    # For each m the multiples m*q of the big primes q <= L // m are
+    # distinct, so one scatter per m flips them all.  Bertrand puts a big
+    # prime in (isqrt(L), L], so big is never empty.
     big = primes[n_small:]
-    lam[big] = np.fromiter(map(math.log, big.astype(np.float64)), np.float64, big.size)
+    lam[big] = list(map(math.log, big.tolist()))
     m = np.arange(1, L // int(big[0]) + 1)
     ends = np.searchsorted(big, L // m, side="right").tolist()
     for k, end in zip(m.tolist(), ends):
-        omega[k * big[:end]] += 1
+        mu[k * big[:end]] *= -1
+    mu[0] = 0
+    return ArithTables(lam, mu)
+
+
+def divisor_counts(n: int) -> np.ndarray:
+    """tau[t] = #divisors of t for 1 <= t <= n, and tau[0] = 0."""
+    tau = np.zeros(n + 1, dtype=np.int64)
     # tau counts the divisor pairs (d, t/d): once at t = d^2, twice when d < t/d
-    for d in range(1, math.isqrt(L) + 1):
+    for d in range(1, math.isqrt(n) + 1):
         tau[d * d] += 1
         tau[d * (d + 1)::d] += 2
-    # Mobius: mu(t) = (-1)^omega(t) = 1 - 2 (omega(t) mod 2) on squarefree t,
-    # else 0; and mu(0) = 0
-    sqfree[0] = False
-    mu = (omega & 1).astype(np.int8)
-    mu *= -2
-    mu += 1
-    mu *= sqfree
-    return ArithTables(lam, mu, omega, tau)
+    return tau
 
 
 def require_sieve_size(n: int, limit: int, what: str) -> None:

@@ -156,8 +156,8 @@ def test_sums_size_refused_before_any_sieve(argv, limit, monkeypatch, capsys):
     def no_sieve(*args, **kwargs):
         raise AssertionError("a sieve started")
 
-    for name in ("stlab.experiments.sieve_arith", "stlab.param_sets._prime_mask",
-                 "stlab.param_sets._least_prime_factors"):
+    for name in ("stlab.experiments.sieve_arith", "stlab.experiments.divisor_counts",
+                 "stlab.param_sets._prime_mask", "stlab.param_sets._least_prime_factors"):
         monkeypatch.setattr(name, no_sieve)
     module, attr = limit.rsplit(".", 1)
     at = getattr(sys.modules[module], attr)
@@ -685,8 +685,8 @@ def test_angles_product_empty_set_exit_1(capsys):
     assert captured.err == "error: U and V must be non-empty\n"
 
 
-BUILDERS = ("sieve_arith", "primes_upto", "subgroup", "product_residues", "geometric",
-            "interval_params")
+BUILDERS = ("sieve_arith", "divisor_counts", "primes_upto", "subgroup", "product_residues",
+            "geometric", "interval_params")
 
 
 @pytest.mark.parametrize("argv", [

@@ -10,6 +10,7 @@ from oracles import order_sum_per_prime
 from stlab.finite_field import is_prime, mult_order, primitive_root
 from stlab.param_sets import (
     ArithTables,
+    divisor_counts,
     divisor_window_count,
     erdos_delta,
     geometric,
@@ -131,8 +132,7 @@ def test_sieve_examples():
     assert t.lam[7] == pytest.approx(math.log(7))
     assert t.lam[6] == 0.0
     assert t.mu[6] == 1 and t.mu[12] == 0 and t.mu[10] == 1 and t.mu[7] == -1
-    assert t.omega[12] == 2
-    assert t.tau[12] == 6
+    assert divisor_counts(20)[12] == 6
 
 
 def _trial_factor(n):
@@ -153,18 +153,20 @@ def _trial_factor(n):
 
 def test_sieve_against_trial_division():
     # small limits hit perfect squares and the ends d(d+1) of the divisor
-    # pairs behind tau at the last index; the larger ones give primes above
-    # isqrt(L) several multiples, and 9408, 9409 = 97**2 and 9506 = 97 * 98
-    # sit on both sides of the point where 97 moves below isqrt(L)
+    # pairs behind divisor_counts at the last index; the larger ones give
+    # primes above isqrt(L) several multiples, and 9408, 9409 = 97**2 and
+    # 9506 = 97 * 98 sit on both sides of the point where 97 moves below
+    # isqrt(L)
     for L in (2, 3, 4, 6, 12, 49, 500, 3000, 9408, 9409, 9506):
         t = sieve_arith(L)
-        assert len(t.tau) == L + 1 and t.tau[0] == 0 and t.mu[0] == 0
+        tau = divisor_counts(L)
+        assert len(t.lam) == len(t.mu) == len(tau) == L + 1
+        assert tau[0] == 0 and t.mu[0] == 0
         for n in range(1, L + 1):
             fs = _trial_factor(n)
             omega = len(fs)
             sqfree = all(e == 1 for _, e in fs)
-            assert t.omega[n] == omega, (L, n)
-            assert t.tau[n] == math.prod(e + 1 for _, e in fs), (L, n)
+            assert tau[n] == math.prod(e + 1 for _, e in fs), (L, n)
             assert t.mu[n] == ((-1) ** omega if sqfree else 0), (L, n)
             if len(fs) == 1:
                 assert t.lam[n] == math.log(fs[0][0]), (L, n)
@@ -173,17 +175,17 @@ def test_sieve_against_trial_division():
 
 
 def test_sieve_bytes_pinned():
-    # sha256 of the lam, mu, omega and tau bytes at L = 10**6, recorded from
-    # the one-loop-per-prime sieve; the reports of sums vaughan and mobius
-    # read these tables, so any bit that moves shows here first
+    # sha256 of the lam and mu bytes, and of the divisor-count bytes, at
+    # L = 10**6, recorded from the earlier sieve that also filled the omega
+    # and tau tables; the reports of sums vaughan and mobius read these
+    # tables, so any bit that moves shows here first
     t = sieve_arith(10**6)
-    h = hashlib.sha256()
-    for a in (t.lam, t.mu, t.omega, t.tau):
-        h.update(a.tobytes())
-    assert [a.dtype for a in (t.lam, t.mu, t.omega, t.tau)] == [
-        np.float64, np.int8, np.int16, np.int64]
-    assert h.hexdigest() == (
-        "842947ec4df4e0e039900cac9e167eddebd66c6de3ed4f942e67c6f4c7bb8954")
+    tau = divisor_counts(10**6)
+    assert [a.dtype for a in (t.lam, t.mu, tau)] == [np.float64, np.int8, np.int64]
+    assert hashlib.sha256(t.lam.tobytes() + t.mu.tobytes()).hexdigest() == (
+        "e285ff3462904ab5170c94e1b27ed987900b25484ec2d60a5c23238cf1115b24")
+    assert hashlib.sha256(tau.tobytes()).hexdigest() == (
+        "639ea2e313c455650a0ed30d0160ae304883e08fc9d492fc338282dac63611b7")
 
 
 def test_chebyshev_identity():
@@ -221,9 +223,14 @@ def test_order_sum_examples():
     *((x, 2, 1.0) for x in (-5, 0, 1, 2, 3)),
 ])
 def test_order_sum_against_mult_order(x, lam, alpha):
-    # same primes, same ascending order, so the float sums agree exactly
+    # same primes, same ascending order, so the float sums agree exactly; the
+    # loop adds left to right like order_sum (built-in sum() compensates its
+    # rounding from Python 3.12 on)
     primes = primes_upto(x).elements if x >= 2 else ()
-    expected = sum(1.0 / mult_order(lam, p) ** alpha for p in primes if lam % p)
+    expected = 0.0
+    for p in primes:
+        if lam % p:
+            expected += 1.0 / mult_order(lam, p) ** alpha
     assert order_sum(x, lam, alpha) == expected
 
 

@@ -1,3 +1,4 @@
+import json
 import math
 import os
 import subprocess
@@ -35,3 +36,23 @@ def test_script_prints_one_row_per_prime(name, args):
         assert float(slope) == pytest.approx(fit, abs=1e-3)
         assert -1 < float(slope) < 0
     assert [row[0] for row in lines] == ["101", "211", "1009"]
+
+
+def test_bench_pairs_one_smoke_run_per_side(tmp_path):
+    out = tmp_path / "bench.json"
+    proc = run_script("bench.py", "--base", str(ROOT), "--change", str(ROOT),
+                      "--workload", "vertical", "--pairs", "1", "--smoke", "--out", str(out))
+    assert proc.returncode == 0, proc.stderr
+    (workload, bench), = json.loads(out.read_text()).items()
+    names = [m["name"] for m in json.loads((ROOT / "BENCHMARK.json").read_text())["end_to_end"]]
+    assert workload == "vertical" and bench["correct"] and bench["pairs"] == 1
+    for side in ("base", "change"):
+        (run,) = bench["runs"][side]
+        assert run["seed"] == 0 and run["correct"] and run["failed"] == 0
+        assert sorted(run["metrics"]) == sorted(names)
+        for name in names:
+            value = run["metrics"][name]
+            assert bench["summary"][side][name] == {"median": value, "q1": value, "q3": value}
+        assert {"nproc", "python", "numpy", "git_commit"} <= set(bench["machine"][side])
+    assert sorted(bench["change_wins"]) == sorted(names)
+    assert set(bench["change_wins"].values()) <= {0, 1}
