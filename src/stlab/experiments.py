@@ -24,6 +24,7 @@ from .param_sets import (
     erdos_delta,
     geometric,
     order_sum,
+    prime_array,
     primes_upto,
     product_residues,
     require_sieve_size,
@@ -37,10 +38,12 @@ from .traces import acos_once, batch_traces, param_array, residue_angles, residu
 PRIME2_NOTE = "bracket omits the L^(c/log log L) factor; c is not effective"
 
 # L of the sums over t <= L.  Over the interpreter's own, a run peaks at about
-# 34 bytes per unit of L for mobius_sums and 30 for vaughan_decompose (the two
-# sieve tables, psi and the passes over them) and 6 for prime_sym_sum (the
-# prime mask and the primes), by ru_maxrss at L = 10**6 and 4 * 10**6 with
-# p = 1009: about 0.68 and 0.6 GB at the limits.
+# 19 bytes per unit of L for mobius_sums and 18 for vaughan_decompose (psi and
+# at most one more float64 array over [0, L], besides the int8 Mobius table)
+# and 5 for prime_sym_sum (the prime mask, the primes as int64 and their
+# angles), by ru_maxrss at L = 10**6 and 4 * 10**6 with p = 1009: about 0.38
+# and 0.5 GB at the limits.  These figures hold at the default cuts; smaller
+# K and M make _type_ii's index arrays O(L) as well.
 IDENTITY_LIMIT = 2 * 10**7
 PRIME_SUM_LIMIT = 10**8
 
@@ -448,15 +451,23 @@ def _psi_of_t(fam: FamilyPoly, p: int, L: int, n: int, psi_fn=None) -> np.ndarra
     a_vec, good = residue_traces(fam, p, ws)
     z = a_vec / (2.0 * math.sqrt(p))
     res_vals = np.where(good, chebyshev_U(n, z), 0.0)
-    out[1:] = np.resize(np.roll(res_vals, -1), L)  # t = 1, 2, ... mod p, cyclically
+    # out[t] = res_vals[t % p]: one period, then each copy doubles the filled
+    # prefix, whose length stays a multiple of p until the last copy
+    filled = min(p, L + 1)
+    out[:filled] = res_vals[:filled]
+    while filled <= L:
+        step = min(filled, L + 1 - filled)
+        out[filled:filled + step] = out[:step]
+        filled += step
+    out[0] = 0.0
     return out
 
 
-def _mobius_window_coeffs(tables, K: float, kmax: int) -> np.ndarray:
+def _mobius_window_coeffs(mu, K: float, kmax: int) -> np.ndarray:
     """c[k] = sum of mu(d) over d | k with d <= K, for k <= kmax."""
     c = np.zeros(kmax + 1, dtype=np.int64)
     for d in range(1, min(int(K), kmax) + 1):
-        md = int(tables.mu[d])
+        md = int(mu[d])
         if md:
             c[d::d] += md
     return c
@@ -476,8 +487,9 @@ def _cuts(L: int, K: float | None, M: float | None) -> tuple[float, float]:
     return K, M
 
 
-def _type_ii(weights, tables, psi, L: int, K: float, M: float) -> float:
-    """|sum over M < m <= L/K, K < k <= L/m of weights[m] c[k] psi[km]|.
+def _type_ii(weights, mu, psi, L: int, K: float, M: float) -> float:
+    """|sum over M < m <= L/K, K < k <= L/m of weights[m] c[k] psi[km]|, with
+    c from the Mobius table mu (see _mobius_window_coeffs).
 
     Row m holds c[k] psi[km] for K < k <= L/m; its sum is np.sum of that
     C-contiguous row.  Ascending m have non-increasing row lengths, so each
@@ -487,7 +499,7 @@ def _type_ii(weights, tables, psi, L: int, K: float, M: float) -> float:
     """
     Mi, Ki = int(M), int(K)
     kmax = L // (Mi + 1) if L // (Mi + 1) >= 1 else 0
-    c = _mobius_window_coeffs(tables, K, max(kmax, 1))
+    c = _mobius_window_coeffs(mu, K, max(kmax, 1))
     ks, cs = np.arange(Ki + 1, kmax + 1), c[Ki + 1:]  # a row of length n reads ks[:n]
     ms = np.arange(Mi + 1, int(L / K) + 1)
     ms = ms[(weights[ms] != 0.0) & (L // ms > Ki)]
@@ -515,12 +527,17 @@ def vaughan_decompose(fam: FamilyPoly, p: int, L: int, K: float | None = None,
     _require_nondeg_mod_p(fam, p)
     tables = sieve_arith(L)
     psi = _psi_of_t(fam, p, L, n, psi_fn)
-    lam_vals = tables.lam
-
-    direct = float(np.sum(lam_vals[1:L + 1] * psi[1:L + 1]))
 
     Mi, Ki = int(M), int(K)
-    sigma1 = abs(float(np.sum(lam_vals[1:Mi + 1] * psi[1:Mi + 1])))
+    sigma1 = abs(float(np.sum(tables.lam[1:Mi + 1] * psi[1:Mi + 1])))
+    sigma4 = _type_ii(tables.lam, tables.mu, psi, L, K, M)
+
+    # nothing below reads the sieve tables but the direct sum, so lambda * psi
+    # is written over lambda and both tables go before the passes over psi
+    lam = tables.lam
+    del tables
+    direct = float(np.sum(np.multiply(lam, psi, out=lam)[1:L + 1]))
+    del lam
 
     km = int(K * M)
     sigma2 = 0.0
@@ -528,14 +545,13 @@ def vaughan_decompose(fam: FamilyPoly, p: int, L: int, K: float | None = None,
         sigma2 += abs(float(psi[k::k].sum()))
 
     sigma3 = 0.0
+    buf = np.empty(L)  # one buffer for every k: psi[k::k] has at most L entries
     for k in range(1, Ki + 1):
         arr = psi[k::k]
         if arr.size == 0:
             continue
-        suffix = np.cumsum(arr[::-1])  # the suffix sums, last first
+        suffix = np.cumsum(arr[::-1], out=buf[:arr.size])  # the suffix sums, last first
         sigma3 += float(np.abs(suffix, out=suffix).max())
-
-    sigma4 = _type_ii(lam_vals, tables, psi, L, K, M)
 
     bracket = L / math.sqrt(p) + L ** (5.0 / 6.0) + math.sqrt(L * p)
     return VaughanReport(p, L, K, M, n, direct, sigma1, sigma2, sigma3, sigma4,
@@ -555,7 +571,7 @@ def prime_sym_sum(fam: FamilyPoly, p: int, L: int, n: int):
         raise ValueError("L must be >= 2")
     require_sieve_size(L, PRIME_SUM_LIMIT, "L")
     _require_nondeg_mod_p(fam, p)
-    ells = primes_upto(L).elements
+    ells = prime_array(L)
     value = _sym_over_params(fam, p, ells, n)
     bracket = L / math.sqrt(p) + L ** (5.0 / 6.0) + math.sqrt(L * p)
     prime1 = n**1.0 * len(ells) * (1.0 + p / L) ** (1.0 / 12.0) * p**-(1.0 / 48.0)
@@ -568,12 +584,15 @@ def mobius_sums(fam: FamilyPoly, p: int, L: int, n: int, K: float | None = None,
     _require_degree(n)
     K, M = _cuts(L, K, M)
     _require_nondeg_mod_p(fam, p)
-    tables = sieve_arith(L)
+    mu = sieve_arith(L).mu  # lambda goes at once
     psi = _psi_of_t(fam, p, L, n)
-    mu = tables.mu.astype(np.float64)
 
-    abs_mu = float(np.sum(np.abs(mu[1:L + 1]) * psi[1:L + 1]))
-    mu_sum = float(np.sum(mu[1:L + 1] * psi[1:L + 1]))
+    # mu stays int8: a weight 0 or +-1 times a float64 is the same product as
+    # in float64, and one buffer holds each L-long product in turn
+    prod = np.empty(L)
+    abs_mu = float(np.sum(np.multiply(np.abs(mu[1:]), psi[1:], out=prod)))
+    mu_sum = float(np.sum(np.multiply(mu[1:], psi[1:], out=prod)))
+    del prod
 
     cut = int(max(K, M))
     omega1 = abs(float(np.sum(mu[1:cut + 1] * psi[1:cut + 1])))
@@ -583,6 +602,6 @@ def mobius_sums(fam: FamilyPoly, p: int, L: int, n: int, K: float | None = None,
     for k in range(1, len(tau)):
         omega2 += tau[k] * abs(float(psi[k::k].sum()))
 
-    omega4 = _type_ii(mu, tables, psi, L, K, M)
+    omega4 = _type_ii(mu, mu, psi, L, K, M)
 
     return MobiusReport(p, L, n, abs_mu, mu_sum, omega1, omega2, 0.0, omega4)

@@ -59,7 +59,12 @@ def primes_upto(L: int) -> ParamSet:
     """All primes <= L."""
     if L < 2:
         raise ValueError("L must be >= 2")
-    return ParamSet(tuple(np.flatnonzero(_prime_mask(L)).tolist()), f"primes:L={L}")
+    return ParamSet(tuple(prime_array(L).tolist()), f"primes:L={L}")
+
+
+def prime_array(n: int) -> np.ndarray:
+    """The primes <= n, ascending, as an int64 array."""
+    return np.flatnonzero(_prime_mask(n))
 
 
 def _prime_mask(n: int) -> np.ndarray:
@@ -102,15 +107,19 @@ class ArithTables:
     mu: np.ndarray
 
 
+# Big primes whose logs one Python list holds at a time in sieve_arith.
+_LOG_CHUNK = 1 << 14
+
+
 def sieve_arith(L: int) -> ArithTables:
     """Fill the von Mangoldt and Mobius tables for 1 <= t <= L."""
     if L < 2:
         raise ValueError("L must be >= 2")
+    primes = prime_array(L)  # first, so the prime mask is gone before the tables exist
     lam = np.zeros(L + 1, dtype=np.float64)
     # mu(t) = (-1)^omega(t) on squarefree t, else 0: each prime q | t flips the
     # sign once, and q**2 | t zeroes it for good; mu(0) = 0
     mu = np.ones(L + 1, dtype=np.int8)
-    primes = np.flatnonzero(_prime_mask(L))
     n_small = int(np.searchsorted(primes, math.isqrt(L), side="right"))
     for q in primes[:n_small].tolist():
         sign = mu[q::q]
@@ -127,7 +136,9 @@ def sieve_arith(L: int) -> ArithTables:
     # distinct, so one scatter per m flips them all.  Bertrand puts a big
     # prime in (isqrt(L), L], so big is never empty.
     big = primes[n_small:]
-    lam[big] = list(map(math.log, big.tolist()))
+    for i in range(0, big.size, _LOG_CHUNK):
+        chunk = big[i:i + _LOG_CHUNK]
+        lam[chunk] = list(map(math.log, chunk.tolist()))
     m = np.arange(1, L // int(big[0]) + 1)
     ends = np.searchsorted(big, L // m, side="right").tolist()
     for k, end in zip(m.tolist(), ends):

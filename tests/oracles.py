@@ -127,11 +127,11 @@ def psi_of_t_by_index(fam, p: int, L: int, n: int, psi_fn=None) -> np.ndarray:
     return out
 
 
-def type_ii_per_row(weights, tables, psi, L: int, K: float, M: float) -> float:
+def type_ii_per_row(weights, mu, psi, L: int, K: float, M: float) -> float:
     """The type-II sum with one gather and np.sum per m, added in ascending m."""
     Mi, Ki = int(M), int(K)
     kmax = L // (Mi + 1) if L // (Mi + 1) >= 1 else 0
-    c = _mobius_window_coeffs(tables, K, max(kmax, 1))
+    c = _mobius_window_coeffs(mu, K, max(kmax, 1))
     total = 0.0
     for m in range(Mi + 1, int(L / K) + 1):
         if weights[m] == 0.0:

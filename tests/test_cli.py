@@ -685,8 +685,8 @@ def test_angles_product_empty_set_exit_1(capsys):
     assert captured.err == "error: U and V must be non-empty\n"
 
 
-BUILDERS = ("sieve_arith", "divisor_counts", "primes_upto", "subgroup", "product_residues",
-            "geometric", "interval_params")
+BUILDERS = ("sieve_arith", "divisor_counts", "prime_array", "primes_upto", "subgroup",
+            "product_residues", "geometric", "interval_params")
 
 
 @pytest.mark.parametrize("argv", [

@@ -7,6 +7,7 @@ from per-integer trial division, characters from character_eval.
 
 import concurrent.futures
 import math
+import tracemalloc
 from collections import Counter
 
 import numpy as np
@@ -486,16 +487,17 @@ def brute_vaughan(fam, p, L, K, M, n, weight):
 
 def test_vaughan_small_matches_brute(fam_zz):
     p, L, n = 13, 60, 2
-    rep = ex.vaughan_decompose(fam_zz, p, L, n=n)
-    s1, s2, s3, s4 = brute_vaughan(fam_zz, p, L, rep.K, rep.M, n, "lambda")
-    assert rep.sigma1 == pytest.approx(s1, abs=1e-9)
-    assert rep.sigma2 == pytest.approx(s2, abs=1e-9)
-    assert rep.sigma3 == pytest.approx(s3, abs=1e-9)
-    assert rep.sigma4 == pytest.approx(s4, abs=1e-9)
     direct = sum(trial_lambda(t) * (0.0 if psi_naive(p, t, fam_zz) is None
                                     else sym_quotient(n, psi_naive(p, t, fam_zz)))
                  for t in range(1, L + 1))
-    assert rep.direct_sum == pytest.approx(direct, abs=1e-9)
+    for K, M in [(None, None), *_edge_cuts(L)]:
+        rep = ex.vaughan_decompose(fam_zz, p, L, K=K, M=M, n=n)
+        s1, s2, s3, s4 = brute_vaughan(fam_zz, p, L, rep.K, rep.M, n, "lambda")
+        assert rep.sigma1 == pytest.approx(s1, abs=1e-9), (K, M)
+        assert rep.sigma2 == pytest.approx(s2, abs=1e-9), (K, M)
+        assert rep.sigma3 == pytest.approx(s3, abs=1e-9), (K, M)
+        assert rep.sigma4 == pytest.approx(s4, abs=1e-9), (K, M)
+        assert rep.direct_sum == pytest.approx(direct, abs=1e-9), (K, M)
 
 
 def test_vaughan_surrogate_reproduces_chebyshev_psi(fam_zz):
@@ -543,12 +545,13 @@ def test_vaughan_tiny_example(fam_zz):
 
 def test_mobius_small_matches_brute(fam_zz):
     p, L, n = 13, 60, 1
-    rep = ex.mobius_sums(fam_zz, p, L, n)
-    s1, s2, _, s4 = brute_vaughan(fam_zz, p, L, L ** (1 / 3), L ** (1 / 3), n, "mobius")
-    assert rep.omega1 == pytest.approx(s1, abs=1e-9)
-    assert rep.omega2 == pytest.approx(s2, abs=1e-9)
-    assert rep.omega3 == 0.0
-    assert rep.omega4 == pytest.approx(s4, abs=1e-9)
+    for K, M in [(None, None), *_edge_cuts(L)]:
+        rep = ex.mobius_sums(fam_zz, p, L, n, K=K, M=M)
+        s1, s2, _, s4 = brute_vaughan(fam_zz, p, L, *ex._cuts(L, K, M), n, "mobius")
+        assert rep.omega1 == pytest.approx(s1, abs=1e-9), (K, M)
+        assert rep.omega2 == pytest.approx(s2, abs=1e-9), (K, M)
+        assert rep.omega3 == 0.0
+        assert rep.omega4 == pytest.approx(s4, abs=1e-9), (K, M)
 
     def psi_of(t):
         a = psi_naive(p, t, fam_zz)
@@ -591,6 +594,27 @@ def _cut_choices(L):
     return [(None, None), *((K, M) for K, M in [*small, (40.0, 25.0)] if K * M <= L)]
 
 
+def _edge_cuts(L):
+    """K = 1, M = 1 and K M = L, the other cut at its default L^(1/3) where
+    it is free.  At L = 10**6 only M = 1: with K = 1 the per-row loop runs
+    over 5 * 10**5 rows, and K M = L loops sigma2 and omega2 over every k."""
+    c = L ** (1.0 / 3.0)
+    if L == 10**6:
+        return [(c, 1.0)]
+    return [(1.0, c), (c, 1.0), (2.0, L / 2)]
+
+
+@pytest.mark.parametrize("p", [5, 101, 1009])
+def test_psi_of_t_tiles_one_period(fam_zz, p):
+    # the in-place tiling against psi read as res_vals[t % p], byte for byte:
+    # L ends inside, at and just past a period, and past several
+    for L in (1, p - 1, p, p + 1, 2 * p, 3 * p + 5):
+        for n, psi_fn in ((1, None), (3, None), (1, lambda t: math.cos(t) / t)):
+            got = ex._psi_of_t(fam_zz, p, L, n, psi_fn)
+            want = psi_of_t_by_index(fam_zz, p, L, n, psi_fn)
+            assert got.dtype == want.dtype and got.tobytes() == want.tobytes(), (p, L, n)
+
+
 @pytest.mark.parametrize("L", SUMS_L[:-1])
 def test_type_ii_matches_the_per_row_loop(fam_zz, L):
     tables = sieve_arith(L)
@@ -598,10 +622,10 @@ def test_type_ii_matches_the_per_row_loop(fam_zz, L):
     psis.append(ex._psi_of_t(fam_zz, 1009, L, 1, psi_fn=lambda t: math.sin(t) / t))
     for K, M in _cut_choices(L):
         K, M = ex._cuts(L, K, M)
-        for weights in (tables.lam, tables.mu.astype(np.float64)):
+        for weights in (tables.lam, tables.mu, tables.mu.astype(np.float64)):
             for psi in psis:
-                want = type_ii_per_row(weights, tables, psi, L, K, M)
-                assert ex._type_ii(weights, tables, psi, L, K, M) == want, (L, K, M)
+                want = type_ii_per_row(weights, tables.mu, psi, L, K, M)
+                assert ex._type_ii(weights, tables.mu, psi, L, K, M) == want, (L, K, M)
 
 
 @pytest.mark.parametrize("L", SUMS_L)
@@ -610,6 +634,8 @@ def test_identity_sums_match_the_per_row_loops(fam_zz, L, monkeypatch):
     # replaced (psi read as res_vals[t % p], one np.sum per m), with ==
     cuts = _cut_choices(L)[:1 if L == 10**6 else 3]
     runs = [(n, K, M, None) for n in (1, 2, 5) for K, M in cuts]
+    # and at the edge cuts, where sigma4 and omega4 read weights up to L / K
+    runs += [(1, K, M, None) for K, M in _edge_cuts(L)]
     if L < 10**6:  # the hook calls Python once per t
         runs.append((1, None, None, lambda t: (-1.0) ** t / t))
     reports = []
@@ -621,6 +647,25 @@ def test_identity_sums_match_the_per_row_loops(fam_zz, L, monkeypatch):
         monkeypatch.setattr(ex, "_psi_of_t", psi_of_t_by_index)
         monkeypatch.setattr(ex, "_type_ii", type_ii_per_row)
     assert reports[0] == reports[1]
+
+
+@pytest.mark.parametrize("what, bound", [("sieve", 12), ("vaughan", 20), ("mobius", 20)])
+def test_identity_sums_traced_peak(fam_zz, what, bound):
+    # at L = 10**6 the sieve holds its two tables and the primes, and each
+    # sum holds psi and at most one more L-long float64 array (lambda, or
+    # one product buffer), besides the int8 mu
+    L = 10**6
+    call = {"sieve": lambda: sieve_arith(L),
+            "vaughan": lambda: ex.vaughan_decompose(fam_zz, 1009, L),
+            "mobius": lambda: ex.mobius_sums(fam_zz, 1009, L, 1)}[what]
+    tracemalloc.start()
+    try:
+        base = tracemalloc.get_traced_memory()[0]
+        call()
+        peak = tracemalloc.get_traced_memory()[1] - base
+    finally:
+        tracemalloc.stop()
+    assert peak <= bound * L, peak / L
 
 
 def test_numpy_reduction_order_canary():
