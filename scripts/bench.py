@@ -13,13 +13,20 @@ pairs the change wins per metric (by the direction in the change's
 BENCHMARK.json), and each side's machine record from run.py's diagnostics
 line.  The workloads are perfbench's own.  Exits 1 when a run gives no result or is not correct,
 after writing the file.
+
+Every run compiles the program from source: it gets PYTHONDONTWRITEBYTECODE=1
+and a fresh, empty PYTHONPYCACHEPREFIX directory, removed afterwards, so a
+checkout that already holds __pycache__ does not start its set-up probe
+sooner than one that does not.
 """
 
 import argparse
 import json
+import os
 import statistics
 import subprocess
 import sys
+import tempfile
 from pathlib import Path
 
 SIDES = ("base", "change")
@@ -29,7 +36,9 @@ def run_once(checkout: Path, workload: str, seed: int, smoke: bool) -> dict:
     """One untraced perfbench run; its result line and machine record, or the error."""
     argv = [sys.executable, "perfbench/run.py", "--workload", workload, "--seed", str(seed),
             "--trace", "0", *(["--smoke"] if smoke else [])]
-    proc = subprocess.run(argv, cwd=checkout, capture_output=True, text=True)
+    with tempfile.TemporaryDirectory(prefix="bench-pycache-") as pycache:
+        env = {**os.environ, "PYTHONDONTWRITEBYTECODE": "1", "PYTHONPYCACHEPREFIX": pycache}
+        proc = subprocess.run(argv, cwd=checkout, env=env, capture_output=True, text=True)
     lines = proc.stdout.strip().splitlines()
     try:
         record, result = json.loads(lines[-2]), json.loads(lines[-1])

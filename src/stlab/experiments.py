@@ -16,7 +16,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import NondegeneracyError
+from .errors import NondegeneracyError, RefusedError
 from .family import FamilyPoly, check_nondeg_global, check_nondeg_mod_p
 from .finite_field import ResidueTable, mult_order, require_table_size
 from .param_sets import (
@@ -42,9 +42,15 @@ PRIME2_NOTE = "bracket omits the L^(c/log log L) factor; c is not effective"
 # at most one more float64 array over [0, L], besides the int8 Mobius table)
 # and 5 for prime_sym_sum (the prime mask, the primes as int64 and their
 # angles), by ru_maxrss at L = 10**6 and 4 * 10**6 with p = 1009: about 0.38
-# and 0.5 GB at the limits.  These figures hold at the default cuts; smaller
-# K and M make _type_ii's index arrays O(L) as well.
+# and 0.5 GB at the limits.  Those two figures hold at the default cuts.
+# _type_ii's arrays over M < m <= L / K and k <= L / (M + 1) add up to about
+# 20 bytes per unit of L / K and 32 per unit of L / (int(M) + 1) (ru_maxrss
+# at the same L and p, K and M from 1 to 10 and the default): 46 bytes per
+# unit of L at K = M = 1.  _cuts refuses the cuts that would take a run of
+# either sum past IDENTITY_BUDGET bytes; the default cuts at IDENTITY_LIMIT
+# need 0.384 GB.
 IDENTITY_LIMIT = 2 * 10**7
+IDENTITY_BUDGET = 4 * 10**8
 PRIME_SUM_LIMIT = 10**8
 
 
@@ -484,6 +490,10 @@ def _cuts(L: int, K: float | None, M: float | None) -> tuple[float, float]:
     if K < 1 or M < 1 or K * M > L + 1e-9:
         raise ValueError("need K, M >= 1 and K*M <= L")
     require_sieve_size(L, IDENTITY_LIMIT, "L")
+    need = L * (19 + 20 / K + 32 / (int(M) + 1))  # bytes, by the IDENTITY_LIMIT comment
+    if need > IDENTITY_BUDGET:
+        raise RefusedError(f"cuts K={K:g}, M={M:g} at L={L} need about {need / 1e9:.2g} GB, "
+                           f"above the {IDENTITY_BUDGET / 1e9:g} GB budget")
     return K, M
 
 

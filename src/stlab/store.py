@@ -11,12 +11,22 @@ traces, so one prime's parameters are looked up and stored with a few numpy
 calls (`lookup`, `put_many`).  The t array is int64 until a row of that prime
 leaves int64 (high powers in geometric progressions), and exact Python ints
 (dtype object) from then on.
+
+Load and flush work one slice of `_SLICE` bytes at a time.  A load reads
+the file once, parses it slice by slice into contiguous int64 p, t and a
+columns and then checks order, duplicates and the Hasse bound over the
+columns; each prime's rows are views of the t and a columns.  A flush
+formats the int64 rows `_SLICE // 64` at a time and writes the pieces in
+order.  So neither holds the whole file in temporaries: a load holds the
+file, the columns and the differences of the order check (about 57 bytes
+per row of 12), and a flush the formatted rows and one slice's work.
 """
 
 from __future__ import annotations
 
 import fcntl
 import os
+import re
 import threading
 
 import numpy as np
@@ -28,6 +38,10 @@ from .traces import TraceRecord, hasse_limit, param_array
 _MAGIC = "# stlab-cache v1 family="
 _I64 = 1 << 63
 _POW10 = 10 ** np.arange(20, dtype=np.uint64)
+# Bytes of the file parsed per step of a load.  A flush formats _SLICE // 64
+# rows per step: a row of three int64 fields takes at most 63 bytes, so each
+# formatted piece fits one slice.
+_SLICE = 1 << 18
 
 
 def _alike(x: np.ndarray, y: np.ndarray):
@@ -95,29 +109,29 @@ class TraceCache:
         if not os.path.exists(self.path):
             return
         try:
-            with open(self.path, "r", encoding="ascii") as fh:
-                text = fh.read()
+            with open(self.path, "rb") as fh:
+                data = fh.read()
         except OSError as e:
             raise CacheError(f"{self.path}: cannot read: {e.strerror}") from None
-        except UnicodeDecodeError:
-            with open(self.path, "rb") as fh:
-                lines = fh.read().split(b"\n")
-            bad = next(i for i, line in enumerate(lines, 1) if not line.isascii())
-            raise CacheError(f"{self.path}:{bad}: a byte that is not ASCII") from None
-        header, newline, rest = text.partition("\n")
-        if not newline and (_MAGIC + self.fingerprint).startswith(header):
+        if not data.isascii():
+            line = data.count(b"\n", 0, re.search(rb"[\x80-\xff]", data).start()) + 1
+            raise CacheError(f"{self.path}:{line}: a byte that is not ASCII")
+        if b"\r" in data:  # read as text mode reads it, with universal newlines
+            data = data.replace(b"\r\n", b"\n").replace(b"\r", b"\n")
+        end = data.find(b"\n")  # of the header
+        if end < 0 and (_MAGIC + self.fingerprint).encode("ascii").startswith(data):
             return  # empty, or torn inside the first header write
-        if not header.startswith(_MAGIC):
+        if not data.startswith(_MAGIC.encode("ascii")):
             raise CacheError(f"{self.path}: not a trace cache (bad header)")
-        fp = header[len(_MAGIC):]
+        fp = data[len(_MAGIC):end if end >= 0 else len(data)].decode("ascii")
         if fp != self.fingerprint:
             raise CacheError(
                 f"{self.path}: cache belongs to family {fp}, expected {self.fingerprint}"
             )
-        body = rest[:rest.rfind("\n") + 1]  # without the torn tail
-        rows = _parse_body(body)
+        stop = data.rfind(b"\n") + 1  # without the torn tail
+        rows = _parse_body(data, end + 1, stop)
         if rows is None:  # not plain short rows, or a bad row: the line parser names it
-            rows = _rows_of(_parse_lines(self.path, body))
+            rows = _rows_of(_parse_lines(self.path, data[end + 1:stop].decode("ascii")))
         self._rows = rows
 
     def _held(self, p: int, ts: np.ndarray):
@@ -174,7 +188,7 @@ class TraceCache:
         """Append pending rows (ascending (p, t)) under an advisory lock."""
         if not len(self._pending):
             return
-        text = _format_rows(self._pending)
+        pieces = _format_rows(self._pending)
         try:
             with open(self.path, "a+b") as fh:  # a+: pread needs read access
                 fd = fh.fileno()
@@ -184,7 +198,7 @@ class TraceCache:
                     os.ftruncate(fd, size)
                     if size == 0:
                         fh.write((_MAGIC + self.fingerprint + "\n").encode("ascii"))
-                    fh.write(text)
+                    fh.writelines(pieces)
                     fh.flush()
                 finally:
                     fcntl.flock(fd, fcntl.LOCK_UN)
@@ -212,35 +226,59 @@ class TraceCache:
             return self._rows.keys() + self._pending.keys()
 
 
-def _parse_body(body: str) -> _Rows | None:
-    """Rows of a body made only of `p,t,a` lines with at most 18 digits per
-    field (so values and their differences fit int64), parsed and checked
-    with numpy.  None when the body has any other line, a Hasse violation or
+def _parse_body(data: bytes, start: int, stop: int) -> _Rows | None:
+    """Rows of the body data[start:stop], a run of whole lines, when it is
+    made only of `p,t,a` lines with at most 18 digits per field (so values
+    and their differences fit int64), parsed and checked with numpy a slice
+    at a time.  None when the body has any other line, a Hasse violation or
     a conflicting duplicate; `_parse_lines` then decides, exactly as it
     always has."""
-    if not body:
+    n = data.count(b"\n", start, stop)
+    if not n:
         return _Rows()
-    b = np.frombuffer(body.encode("ascii"), dtype=np.uint8)
+    p, t, a = (np.empty(n, dtype=np.int64) for _ in range(3))
+    k = 0
+    while start < stop:
+        end = data.rfind(b"\n", start, min(start + _SLICE, stop)) + 1
+        if not end:  # a row longer than a slice: the slice runs to its end
+            end = data.find(b"\n", start) + 1
+        vals = _parse_slice(data, start, end)
+        if vals is None:
+            return None
+        m = len(vals) // 3
+        p[k:k + m], t[k:k + m], a[k:k + m] = vals[0::3], vals[1::3], vals[2::3]
+        k, start = k + m, end
+    return _checked_rows(p, t, a)
+
+
+def _parse_slice(data: bytes, start: int, end: int) -> np.ndarray | None:
+    """p0, t0, a0, p1, ... of the whole lines data[start:end], or None unless
+    every line is a plain short `p,t,a` row."""
+    b = np.frombuffer(data, dtype=np.uint8, count=end - start, offset=start)
     sep = np.flatnonzero((b == ord(",")) | (b == ord("\n")))
     minus = np.count_nonzero(b == ord("-"))
     if np.count_nonzero(b - np.uint8(ord("0")) < 10) + len(sep) + minus != len(b):
         return None  # a byte that is no digit, sign or separator
     if len(sep) % 3 or (b[sep].reshape(-1, 3) != np.frombuffer(b",,\n", np.uint8)).any():
         return None
-    start = np.concatenate(([0], sep[:-1] + 1))
-    neg = b[start] == ord("-")  # an empty field starts on its own separator
-    digits = sep - start - neg
+    first = np.concatenate(([0], sep[:-1] + 1))
+    neg = b[first] == ord("-")  # an empty field starts on its own separator
+    digits = sep - first - neg
     if digits.min() < 1 or digits.max() > 18 or minus != np.count_nonzero(neg):
         return None
-    vals = np.fromstring(body.replace("\n", ","), dtype=np.int64, sep=",")
-    p, t, a = vals[0::3], vals[1::3], vals[2::3]
+    return np.fromstring(data[start:end].replace(b"\n", b","), dtype=np.int64, sep=",")
 
+
+def _checked_rows(p: np.ndarray, t: np.ndarray, a: np.ndarray) -> _Rows | None:
+    """The rows of the int64 columns p, t, a, or None on a conflicting
+    duplicate or a Hasse violation."""
     dp, dt = np.diff(p), np.diff(t)
     if ((dp < 0) | ((dp == 0) & (dt < 0))).any():  # appended by more than one flush
         order = np.lexsort((t, p))
         p, t, a = p[order], t[order], a[order]
         dp, dt = np.diff(p), np.diff(t)
     same = (dp == 0) & (dt == 0)
+    del dp, dt
     if (same & (a[1:] != a[:-1])).any():
         return None
     if same.any():
@@ -248,7 +286,8 @@ def _parse_body(body: str) -> _Rows | None:
         p, t, a = p[keep], t[keep], a[keep]
     starts = np.concatenate(([0], np.flatnonzero(p[1:] != p[:-1]) + 1))
     primes = p[starts].tolist()
-    lim = np.repeat([hasse_limit(q) for q in primes], np.diff(np.append(starts, len(p))))
+    del p
+    lim = np.repeat([hasse_limit(q) for q in primes], np.diff(np.append(starts, len(t))))
     if ((a < -lim) | (a > lim)).any():
         return None
 
@@ -296,40 +335,56 @@ def _rows_of(rows: dict[tuple[int, int], int]) -> _Rows:
     return out
 
 
-def _format_rows(rows: _Rows) -> bytes:
+def _format_rows(rows: _Rows) -> list[bytes | np.ndarray]:
     """The lines `p,t,a` of `rows` in ascending (p, t), as f"{p},{t},{a}"
-    writes them.  Primes whose rows are all int64 are formatted in one numpy
-    pass; the rows of every other prime are spliced in at their prime."""
-    primes = sorted(rows.by_p)
-    # stored p are >= 0, since the Hasse check refuses every row at p < 0
-    flat = [q for q in primes if rows.by_p[q][0].dtype == np.int64 and q < _I64]
-    cols = [rows.by_p[q] for q in flat]
-    sizes = [len(t) for t, _ in cols]
-    empty = [np.zeros(0, dtype=np.int64)]
-    buf, ends = _decimal_lines((np.repeat(np.array(flat, dtype=np.int64), sizes),
-                                np.concatenate(empty + [t for t, _ in cols]),
-                                np.concatenate(empty + [a for _, a in cols])))
-    in_buf = set(flat)
-    out, done, k = [], 0, 0  # k: the int64 rows before prime q
-    for q in primes:
+    writes them, in pieces to be written in order.  Runs of primes whose rows
+    are all int64 are formatted with numpy, _SLICE // 64 rows at a time; the
+    rows of every other prime are spliced in at their prime."""
+    pieces, run = [], []
+    for q in sorted(rows.by_p):
         ts, a = rows.by_p[q]
-        if q in in_buf:
-            k += len(ts)
+        # stored p are >= 0, since the Hasse check refuses every row at p < 0
+        if ts.dtype == np.int64 and q < _I64:
+            run.append((q, ts, a))
             continue
-        cut = int(ends[k - 1]) if k else 0
-        out += [buf[done:cut].tobytes(),
-                "".join(f"{q},{t},{v}\n" for t, v in zip(ts.tolist(), a.tolist())).encode("ascii")]
-        done = cut
-    out.append(buf[done:].tobytes())
-    return b"".join(out)
+        pieces += _format_run(run)
+        run = []
+        pieces.append("".join(f"{q},{t},{v}\n" for t, v in zip(ts.tolist(), a.tolist()))
+                      .encode("ascii"))
+    return pieces + _format_run(run)
 
 
-def _decimal_lines(cols) -> tuple[np.ndarray, np.ndarray]:
-    """ASCII lines `c0,c1,...` of int64 columns, one digit position at a
-    time.  Returns the bytes and each line's end offset."""
-    n = len(cols[0])
+def _format_run(run: list) -> list[np.ndarray]:
+    """The lines of a run of int64 primes (q, ts, a), one piece per
+    _SLICE // 64 rows; a piece may hold the rows of several primes."""
+    step = max(1, _SLICE // 64)
+    pieces, group, n = [], [], 0
+    for q, ts, a in run:
+        while len(ts):
+            k = min(step - n, len(ts))
+            group.append((q, ts[:k], a[:k]))
+            ts, a, n = ts[k:], a[k:], n + k
+            if n == step:
+                pieces.append(_group_lines(group))
+                group, n = [], 0
+    if group:
+        pieces.append(_group_lines(group))
+    return pieces
+
+
+def _group_lines(group: list) -> np.ndarray:
+    """The lines of the rows (q, ts, a) of `group`, in order."""
+    return _decimal_lines((np.repeat(np.array([q for q, _, _ in group], dtype=np.int64),
+                                     [len(ts) for _, ts, _ in group]),
+                           np.concatenate([ts for _, ts, _ in group]),
+                           np.concatenate([a for _, _, a in group])))
+
+
+def _decimal_lines(cols) -> np.ndarray:
+    """ASCII lines `c0,c1,...` of nonempty int64 columns, one digit position
+    at a time."""
     fields = []
-    width = np.zeros(n, dtype=np.int64)
+    width = np.zeros(len(cols[0]), dtype=np.int64)
     for c in cols:
         neg = c < 0
         mag = np.abs(c).astype(np.uint64)
@@ -337,17 +392,17 @@ def _decimal_lines(cols) -> tuple[np.ndarray, np.ndarray]:
         fields.append((neg, mag, ndig))
         width += neg + ndig + 1  # the sign, the digits and a separator
     ends = np.cumsum(width)
-    buf = np.full(int(ends[-1]) if n else 0, ord(","), dtype=np.uint8)
+    buf = np.full(int(ends[-1]), ord(","), dtype=np.uint8)
     pos = ends - width
     for neg, mag, ndig in fields:
         buf[pos[neg]] = ord("-")
         last = pos + neg + ndig - 1  # the units digit
-        for j in range(int(ndig.max()) if n else 0):
+        for j in range(int(ndig.max())):
             live = ndig > j
             buf[last[live] - j] = (mag[live] // _POW10[j] % 10 + ord("0")).astype(np.uint8)
         pos = last + 2
     buf[ends - 1] = ord("\n")
-    return buf, ends
+    return buf
 
 
 def _complete_length(fd: int, size: int, chunk: int = 4096) -> int:

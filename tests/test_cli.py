@@ -170,6 +170,32 @@ def test_sums_size_refused_before_any_sieve(argv, limit, monkeypatch, capsys):
         run([*argv, str(at), *fam])
 
 
+@pytest.mark.parametrize("kind", ["vaughan", "mobius"])
+@pytest.mark.parametrize("L, cuts", [
+    (20_000_000, ["-K", "1", "-M", "1"]),
+    (20_000_000, ["-K", "1"]),
+    (20_000_000, ["-M", "1.5"]),
+    (8_000_000, ["-K", "1", "-M", "1"]),
+])
+def test_sums_small_cuts_refused_before_any_sieve(kind, L, cuts, monkeypatch, capsys):
+    # small K or M make _type_ii's arrays O(L): refused by the memory budget,
+    # which the default cuts at the same L stay within
+    def no_sieve(*args, **kwargs):
+        raise AssertionError("a sieve started")
+
+    for name in ("stlab.experiments.sieve_arith", "stlab.experiments.divisor_counts",
+                 "stlab.experiments._psi_of_t"):
+        monkeypatch.setattr(name, no_sieve)
+    argv = ["sums", kind, "--f", "0,1", "--g", "0,1", "-p", "101", "-L", str(L)]
+    assert run([*argv, *cuts]) == 3
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert re.fullmatch(rf"refused: cuts K=[\d.]+, M=[\d.]+ at L={L} need about [\d.]+ GB, "
+                        r"above the 0.4 GB budget\n", captured.err), captured.err
+    with pytest.raises(AssertionError, match="a sieve started"):
+        run(argv)
+
+
 @pytest.mark.parametrize("argv", [
     ["trace", "-p", "3", "-t", "1"],
     ["angles", "-p", "3", "--kind", "full"],

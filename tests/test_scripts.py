@@ -1,3 +1,4 @@
+import importlib.util
 import json
 import math
 import os
@@ -56,3 +57,36 @@ def test_bench_pairs_one_smoke_run_per_side(tmp_path):
         assert {"nproc", "python", "numpy", "git_commit"} <= set(bench["machine"][side])
     assert sorted(bench["change_wins"]) == sorted(names)
     assert set(bench["change_wins"].values()) <= {0, 1}
+
+
+def test_bench_runs_compile_from_source(tmp_path, monkeypatch):
+    # every run.py gets PYTHONDONTWRITEBYTECODE and its own empty bytecode
+    # prefix, removed afterwards, so no side reads a __pycache__ it holds
+    spec = importlib.util.spec_from_file_location("bench", ROOT / "scripts" / "bench.py")
+    bench = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(bench)
+    names = [m["name"] for m in json.loads((ROOT / "BENCHMARK.json").read_text())["end_to_end"]]
+    seen = []
+
+    def fake_run(argv, cwd, env, **kwargs):
+        prefix = Path(env["PYTHONPYCACHEPREFIX"])
+        seen.append((cwd, env, prefix.is_dir() and not any(prefix.iterdir())))
+        record = {"machine": {"nproc": 1}}
+        result = {"correct": True, "failed": 0,
+                  "metrics": {name: {"value": 1.0} for name in names}}
+        return subprocess.CompletedProcess(argv, 0, f"{json.dumps(record)}\n{json.dumps(result)}\n", "")
+
+    monkeypatch.setattr(bench.subprocess, "run", fake_run)
+    (tmp_path / "b").mkdir()
+    (tmp_path / "b" / "BENCHMARK.json").write_text((ROOT / "BENCHMARK.json").read_text())
+    monkeypatch.setenv("PYTHONPYCACHEPREFIX", str(tmp_path / "shared"))
+    out = tmp_path / "bench.json"
+    assert bench.main(["--base", str(tmp_path / "a"), "--change", str(tmp_path / "b"),
+                       "--workload", "sums", "--pairs", "2", "--out", str(out)]) == 0
+    assert [cwd.name for cwd, _, _ in seen] == ["a", "b", "b", "a"]
+    prefixes = {env["PYTHONPYCACHEPREFIX"] for _, env, _ in seen}
+    assert len(prefixes) == 4 and str(tmp_path / "shared") not in prefixes
+    for _, env, fresh in seen:
+        assert env["PYTHONDONTWRITEBYTECODE"] == "1" and fresh
+        assert env["PATH"] == os.environ["PATH"]  # the rest of the environment is passed on
+    assert not any(Path(prefix).exists() for prefix in prefixes)

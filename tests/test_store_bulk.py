@@ -4,24 +4,45 @@ parameters beyond int64, and the checks the bulk calls keep."""
 import json
 import random
 import sys
+import tracemalloc
 from concurrent.futures import ThreadPoolExecutor
 
 import numpy as np
 import pytest
 
+from stlab import store
 from stlab.cli import run
 from stlab.errors import CacheError, NondegeneracyError
 from stlab.family import fingerprint_hex, reduce_at
-from stlab.finite_field import ResidueTable
-from stlab.store import _parse_lines, open_cache
-from stlab.traces import batch_traces, trace
+from stlab.finite_field import ResidueTable, is_prime
+from stlab.store import _parse_lines, _rows_of, open_cache
+from stlab.traces import batch_traces, hasse_limit, trace
 
 FAM_ARGS = ["--f", "0,1", "--g", "0,1"]
 BIG = 1 << 63
+# slice sizes of the loader and the writer: below one row, a row or two, a
+# few rows, many rows, and the default
+SLICES = (1, 7, 40, 4096, store._SLICE)
 
 
 def _write(path, fam, body):
     path.write_text(f"# stlab-cache v1 family={fingerprint_hex(fam)}\n{body}")
+
+
+def _at_each_slice(monkeypatch):
+    for size in SLICES:
+        monkeypatch.setattr(store, "_SLICE", size)
+        yield size
+
+
+def _held(rows):
+    """Per prime: the dtypes and values of the rows held."""
+    return {p: (ts.dtype, ts.tolist(), a.dtype, a.tolist()) for p, (ts, a) in rows.by_p.items()}
+
+
+def _row_key(line):
+    p, t, _ = line.split(",")
+    return int(p), int(t)
 
 
 def _report(capsys, argv):
@@ -86,12 +107,19 @@ def test_congruent_rows_that_disagree_exit_4(fam_zz, tmp_path, capsys):
     (f"5,{3**60},-3\n5,{3**60},2\n", 3, "conflicting duplicate"),
     ("5,1,-3\n7,1x,3\n", 3, "malformed row"),
     ("5,1,-3\n7,1-2,3\n", 3, "malformed row"),
+    pytest.param("5,1,-3\n" + "".join(f"7,{t},3\n" for t in range(40)) + "5,1,2\n",
+                 43, "conflicting duplicate", id="duplicate-far-apart"),
+    pytest.param("".join(f"7,{t},3\n" for t in range(40)) + "5,2,99\n",
+                 42, "Hasse", id="hasse-in-the-last-row"),
 ])
-def test_bad_rows_on_load_name_their_line(fam_zz, tmp_path, body, line, what):
+def test_bad_rows_on_load_name_their_line(fam_zz, tmp_path, monkeypatch, body, line, what):
+    # at slice sizes that split the two duplicates over many slices and put
+    # the bad row alone in the last one
     path = tmp_path / "c.txt"
     _write(path, fam_zz, body)
-    with pytest.raises(CacheError, match=f":{line}: {what}"):
-        open_cache(str(path), fam_zz)
+    for _ in _at_each_slice(monkeypatch):
+        with pytest.raises(CacheError, match=f":{line}: {what}"):
+            open_cache(str(path), fam_zz)
 
 
 def test_cache_file_independent_of_threads(tmp_path, capsys):
@@ -106,7 +134,7 @@ def test_cache_file_independent_of_threads(tmp_path, capsys):
     assert files[0] == files[1]
 
 
-def test_loader_agrees_with_the_line_parser(fam_zz, tmp_path):
+def test_loader_agrees_with_the_line_parser(fam_zz, tmp_path, monkeypatch):
     rng = random.Random(6)
     rows = {}
     for _ in range(3000):
@@ -116,39 +144,88 @@ def test_loader_agrees_with_the_line_parser(fam_zz, tmp_path):
         rows.setdefault((p, t), rng.randint(-int(2 * p**0.5), int(2 * p**0.5)))
     lines = [f"{p},{t},{a}\n" for (p, t), a in rows.items()]
     plain = [line for line in lines if abs(int(line.split(",")[1])) < 10**17]
+    # two flushes: the second goes back to the smaller primes in mid-slice
+    first, second = sorted(plain[:700], key=_row_key), sorted(plain[700:], key=_row_key)
     # plain rows (with a repeat) load in bulk; any long field, a blank line or
     # spaces send the file through the line parser; both must agree
     for name, body in [("plain", "".join(plain + plain[:50])),
+                       ("two-flushes", "".join(first + second)),
                        ("mixed", "".join(lines)),
                        ("spaced", "\n".join(" " + line for line in plain))]:
         path = tmp_path / f"{name}.txt"
         _write(path, fam_zz, body)
         want = _parse_lines(str(path), body)
-        cache = open_cache(str(path), fam_zz)
-        assert len(cache) == len(want)
-        assert sorted(cache.keys()) == sorted(want)
-        for (p, t), a in want.items():
-            assert cache.get(p, t) == a
+        for size in _at_each_slice(monkeypatch):
+            cache = open_cache(str(path), fam_zz)
+            assert len(cache) == len(want)
+            assert sorted(cache.keys()) == sorted(want)
+            assert _held(cache._rows) == _held(_rows_of(want))
+            if size == SLICES[-1]:  # the default
+                for (p, t), a in want.items():
+                    assert cache.get(p, t) == a
 
 
-def test_flush_writes_sorted_decimal_rows(fam_zz, tmp_path):
+def test_torn_tail_and_non_ascii_at_every_slice(fam_zz, tmp_path, monkeypatch):
     path = tmp_path / "c.txt"
+    header = f"# stlab-cache v1 family={fingerprint_hex(fam_zz)}\n"
+    lines = [f"{p},{t},{t % 7 - 3}\n" for p in (101, 1009) for t in range(-60, 60)]
+    body = "".join(lines)
+    want = _parse_lines(str(path), body)
+    for _ in _at_each_slice(monkeypatch):
+        # a torn tail is skipped, whatever part of a row it holds
+        for tail in ("1", "101,7", "1009,-", "5,1,2"):
+            _write(path, fam_zz, body + tail)
+            cache = open_cache(str(path), fam_zz)
+            assert sorted(cache.keys()) == sorted(want)
+            assert all(cache.get(p, t) == a for (p, t), a in list(want.items())[::37])
+        for torn in ("", header[:9], header[:-1]):  # inside the first header write
+            path.write_text(torn)
+            assert len(open_cache(str(path), fam_zz)) == 0
+        # the file reads as text mode reads it: \r\n ends a line as \n does
+        path.write_bytes((header + body).replace("\n", "\r\n").encode("ascii"))
+        assert sorted(open_cache(str(path), fam_zz).keys()) == sorted(want)
+        # a byte that is not ASCII, late in the file or in the torn tail, is
+        # reported on its own line
+        for k, text in [(len(lines), "".join(lines[:-2]) + "101,1\xe9,3\n" + lines[-1]),
+                        (len(lines) + 2, body + "7,\xe9")]:
+            path.write_bytes((header + text).encode("latin-1"))
+            with pytest.raises(CacheError, match=f":{k}: a byte that is not ASCII"):
+                open_cache(str(path), fam_zz)
+
+
+def test_flush_writes_sorted_decimal_rows(fam_zz, tmp_path, monkeypatch):
     edge = [0, 9, 10, 99, 100, -1, -10, 10**18 - 1, -10**18, 10**18,
             BIG - 1, -(BIG - 1), BIG, -BIG, 3**60, -(3**60)]
-    want = {}
-    with open_cache(str(path), fam_zz) as cache:
-        for p in (101, 5, 1009):
-            a = [(i % 9) - 4 for i in range(len(edge))]
-            cache.put_many(p, edge, a)
-            want.update({(p, t): x for t, x in zip(edge, a)})
-        cache.put_many(11, [BIG * 5, -BIG * 5], [1, -1])  # a prime with big rows only
-        want.update({(11, BIG * 5): 1, (11, -BIG * 5): -1})
-    body = path.read_text().split("\n", 1)[1]
-    assert body == "".join(f"{p},{t},{a}\n" for (p, t), a in sorted(want.items()))
-    cache = open_cache(str(path), fam_zz)
-    a, hit = cache.lookup(101, edge + [7])
-    assert hit.tolist() == [True] * len(edge) + [False]
-    assert a.tolist() == [want[(101, t)] for t in edge] + [0]
+    small = [t for t in edge if -BIG <= t < BIG]
+    for size in _at_each_slice(monkeypatch):
+        path = tmp_path / f"c{size}.txt"
+        want = {}
+        with open_cache(str(path), fam_zz) as cache:
+            for p in (101, 5, 1009):
+                a = [(i % 9) - 4 for i in range(len(edge))]
+                cache.put_many(p, edge, a)
+                want.update({(p, t): x for t, x in zip(edge, a)})
+            cache.put_many(11, [BIG * 5, -BIG * 5], [1, -1])  # a prime with big rows only
+            want.update({(11, BIG * 5): 1, (11, -BIG * 5): -1})
+            # int64 primes between them, one with more rows than a formatted piece
+            for p, ts in [(7, small), (13, range(-80, 80)), (103, small), (2003, [1])]:
+                a = [(t % 5) - 2 for t in ts]
+                cache.put_many(p, ts, a)
+                want.update({(p, t): x for t, x in zip(ts, a)})
+        body = path.read_text().split("\n", 1)[1]
+        assert body == "".join(f"{p},{t},{a}\n" for (p, t), a in sorted(want.items()))
+        # a second flush appends its own sorted rows, back at the smaller primes
+        later = {(3, 2): 0, (7, 11): 2, (11, BIG * 6): 3, (13, 80): -2, (4001, -BIG): 5}
+        with open_cache(str(path), fam_zz) as cache:
+            for (p, t), a in later.items():
+                cache.put_many(p, [t], [a])
+        assert path.read_text().split("\n", 1)[1] == body + "".join(
+            f"{p},{t},{a}\n" for (p, t), a in sorted(later.items()))
+        cache = open_cache(str(path), fam_zz)
+        a, hit = cache.lookup(101, edge + [7])
+        assert hit.tolist() == [True] * len(edge) + [False]
+        assert a.tolist() == [want[(101, t)] for t in edge] + [0]
+        assert sorted(cache.keys()) == sorted({**want, **later})
 
 
 def test_put_many_keeps_rows_once_and_refuses_whole_batches(fam_zz, tmp_path):
@@ -224,3 +301,31 @@ def test_threads_share_one_cache(fam_zz, tmp_path):
         sys.setswitchinterval(old)
     rows = path.read_text().splitlines()[1:]
     assert len(rows) == len(set(rows)) == sum(int(good.sum()) for _, good in want.values())
+
+
+def test_cache_load_and_flush_traced_peak(fam_zz, tmp_path):
+    # 2 * 10**5 short rows over 200 primes (a file of 13 bytes per row).  A
+    # flush holds the formatted rows and one slice of temporaries (16 bytes
+    # per row); a load holds the file, the int64 p, t and a columns and the
+    # order checks' differences (57 bytes per row).  Formatting and parsing
+    # the whole file at once took 137 and 173.
+    rng = np.random.default_rng(0)
+    path = str(tmp_path / "c.txt")
+    cache = open_cache(path, fam_zz)
+    for q in [q for q in range(1009, 10**4) if is_prime(q)][:200]:
+        lim = hasse_limit(q)
+        cache.put_many(q, np.sort(rng.choice(5000, 1000, replace=False)) + 1,
+                       rng.integers(-lim, lim + 1, 1000))
+    rows = len(cache)
+    tracemalloc.start()
+    try:
+        cache.flush()
+        flush_peak = tracemalloc.get_traced_memory()[1]
+        tracemalloc.reset_peak()
+        base = tracemalloc.get_traced_memory()[0]
+        assert len(open_cache(path, fam_zz)) == rows
+        load_peak = tracemalloc.get_traced_memory()[1] - base
+    finally:
+        tracemalloc.stop()
+    assert flush_peak <= 25 * rows, flush_peak / rows
+    assert load_peak <= 80 * rows, load_peak / rows
