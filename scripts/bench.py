@@ -14,10 +14,13 @@ BENCHMARK.json), and each side's machine record from run.py's diagnostics
 line.  The workloads are perfbench's own.  Exits 1 when a run gives no result or is not correct,
 after writing the file.
 
-Every run compiles the program from source: it gets PYTHONDONTWRITEBYTECODE=1
-and a fresh, empty PYTHONPYCACHEPREFIX directory, removed afterwards, so a
-checkout that already holds __pycache__ does not start its set-up probe
-sooner than one that does not.
+Every run reads its bytecode from one PYTHONPYCACHEPREFIX directory made for
+the invocation and removed afterwards, never from a checkout's own
+__pycache__ nor the caller's prefix, so a checkout that already holds
+bytecode does not start its set-up probe sooner than one that does not.
+Before the first timed run, one untimed `--smoke` run per side compiles the
+standard library, numpy and that side's sources into the prefix; the timed
+runs get PYTHONDONTWRITEBYTECODE=1, so they read it without writing to it.
 """
 
 import argparse
@@ -32,13 +35,11 @@ from pathlib import Path
 SIDES = ("base", "change")
 
 
-def run_once(checkout: Path, workload: str, seed: int, smoke: bool) -> dict:
+def run_once(checkout: Path, workload: str, seed: int, smoke: bool, env: dict) -> dict:
     """One untraced perfbench run; its result line and machine record, or the error."""
     argv = [sys.executable, "perfbench/run.py", "--workload", workload, "--seed", str(seed),
             "--trace", "0", *(["--smoke"] if smoke else [])]
-    with tempfile.TemporaryDirectory(prefix="bench-pycache-") as pycache:
-        env = {**os.environ, "PYTHONDONTWRITEBYTECODE": "1", "PYTHONPYCACHEPREFIX": pycache}
-        proc = subprocess.run(argv, cwd=checkout, env=env, capture_output=True, text=True)
+    proc = subprocess.run(argv, cwd=checkout, env=env, capture_output=True, text=True)
     lines = proc.stdout.strip().splitlines()
     try:
         record, result = json.loads(lines[-2]), json.loads(lines[-1])
@@ -71,13 +72,19 @@ def main(argv=None) -> int:
     spec = json.loads((args.change / "BENCHMARK.json").read_text())
     lower = {m["name"]: m["better"] == "lower" for m in spec["end_to_end"]}
     runs = {side: [] for side in SIDES}
-    for pair in range(args.pairs):
-        order = SIDES if pair % 2 == 0 else SIDES[::-1]
-        for side in order:
-            checkout = getattr(args, side)
-            runs[side].append(run_once(checkout, args.workload, pair, args.smoke))
-            print(f"pair {pair} {side}: {runs[side][-1].get('metrics', 'no result')}",
-                  file=sys.stderr)
+    with tempfile.TemporaryDirectory(prefix="bench-pycache-") as pycache:
+        warm = {**os.environ, "PYTHONPYCACHEPREFIX": pycache}
+        warm.pop("PYTHONDONTWRITEBYTECODE", None)
+        for side in SIDES:  # untimed runs that write the bytecode
+            run_once(getattr(args, side), args.workload, 0, True, warm)
+        timed = {**warm, "PYTHONDONTWRITEBYTECODE": "1"}
+        for pair in range(args.pairs):
+            order = SIDES if pair % 2 == 0 else SIDES[::-1]
+            for side in order:
+                checkout = getattr(args, side)
+                runs[side].append(run_once(checkout, args.workload, pair, args.smoke, timed))
+                print(f"pair {pair} {side}: {runs[side][-1].get('metrics', 'no result')}",
+                      file=sys.stderr)
 
     ok = all(r.get("correct") for side in SIDES for r in runs[side])
     stats = {side: {} for side in SIDES}

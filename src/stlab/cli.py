@@ -322,11 +322,11 @@ def _orders(args, fam, iv):
 
 def _cache_stats(args, fam, iv):
     path = _cache_path(args)
-    rows = open_cache(path, fam).keys()
-    primes = sorted({p for p, _ in rows})
+    cache = open_cache(path, fam)
+    primes = cache.primes()
     return {
         "path": path,
-        "rows": len(rows),
+        "rows": len(cache),
         "distinct_primes": len(primes),
         "p_min": primes[0] if primes else None,
         "p_max": primes[-1] if primes else None,

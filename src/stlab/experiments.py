@@ -324,6 +324,13 @@ def charsum_verify(fam: FamilyPoly, p: int, n_max: int, mode: str = "exhaustive"
     _require_nondeg_mod_p(fam, p)
     if n_max < 1:
         raise ValueError("n_max must be >= 1")
+    if mode == "sampled":
+        if count is None or count < 1:
+            raise ValueError("sampled mode needs a positive count")
+        if seed is None:  # characters drawn from OS entropy would change the report
+            raise ValueError("sampled mode needs a seed")
+    elif mode != "exhaustive":
+        raise ValueError(f"unknown mode {mode!r}")
     tbl = ResidueTable.build(p)
 
     if subgroup_r is None:
@@ -342,14 +349,10 @@ def charsum_verify(fam: FamilyPoly, p: int, n_max: int, mode: str = "exhaustive"
     if mode == "exhaustive":
         mode_str = "exhaustive"
         s_eval = None
-    elif mode == "sampled":
-        if count is None or count < 1:
-            raise ValueError("sampled mode needs a positive count")
+    else:
         rng = np.random.default_rng(seed)
         s_eval = np.sort(rng.integers(0, p - 1, size=count))
         mode_str = f"sampled(seed={seed},count={count})"
-    else:
-        raise ValueError(f"unknown mode {mode!r}")
 
     reports = []
     for n, u in sym_terms(z, n_max):
@@ -487,7 +490,7 @@ def _cuts(L: int, K: float | None, M: float | None) -> tuple[float, float]:
         K = L ** (1.0 / 3.0)
     if M is None:
         M = L ** (1.0 / 3.0)
-    if K < 1 or M < 1 or K * M > L + 1e-9:
+    if not (K >= 1 and M >= 1 and K * M <= L + 1e-9):  # so NaN is refused too
         raise ValueError("need K, M >= 1 and K*M <= L")
     require_sieve_size(L, IDENTITY_LIMIT, "L")
     need = L * (19 + 20 / K + 32 / (int(M) + 1))  # bytes, by the IDENTITY_LIMIT comment

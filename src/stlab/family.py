@@ -65,14 +65,16 @@ def poly_eval_mod(coeffs, t, p: int):
     return v
 
 
-def _proportional(a, b) -> bool:
-    """True when polynomials a, b are linearly dependent (all 2x2 minors vanish)."""
+def _proportional(a, b, p: int | None = None) -> bool:
+    """True when polynomials a, b are linearly dependent (all 2x2 minors
+    vanish), over the integers or, given a prime p, mod p."""
     n = max(len(a), len(b))
     aa = list(a) + [0] * (n - len(a))
     bb = list(b) + [0] * (n - len(b))
     for i in range(n):
         for j in range(i + 1, n):
-            if aa[i] * bb[j] - aa[j] * bb[i] != 0:
+            minor = aa[i] * bb[j] - aa[j] * bb[i]
+            if (minor if p is None else minor % p) != 0:
                 return False
     return True
 
@@ -167,19 +169,11 @@ def check_nondeg_global(fam: FamilyPoly) -> NondegCheck:
 def check_nondeg_mod_p(fam: FamilyPoly, p: int) -> NondegCheck:
     """Same predicate with all coefficients reduced mod p, for a prime p > 3."""
     require_prime_above_3(p)
-    delta_p = _trim(c % p for c in fam.delta_coeffs)
-    if not delta_p:
+    if all(c % p == 0 for c in fam.delta_coeffs):
         return NondegCheck(False, "delta_zero")
-    a = [c % p for c in _four_f_cubed(fam)]
-    b = list(delta_p)
-    n = max(len(a), len(b))
-    a += [0] * (n - len(a))
-    b += [0] * (n - len(b))
-    for i in range(n):
-        for j in range(i + 1, n):
-            if (a[i] * b[j] - a[j] * b[i]) % p != 0:
-                return NondegCheck(True, None)
-    return NondegCheck(False, "j_constant")
+    if _proportional(_four_f_cubed(fam), fam.delta_coeffs, p):
+        return NondegCheck(False, "j_constant")
+    return NondegCheck(True, None)
 
 
 def delta_at(fam: FamilyPoly, t: int) -> int:

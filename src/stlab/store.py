@@ -12,14 +12,18 @@ calls (`lookup`, `put_many`).  The t array is int64 until a row of that prime
 leaves int64 (high powers in geometric progressions), and exact Python ints
 (dtype object) from then on.
 
-Load and flush work one slice of `_SLICE` bytes at a time.  A load reads
-the file once, parses it slice by slice into contiguous int64 p, t and a
-columns and then checks order, duplicates and the Hasse bound over the
-columns; each prime's rows are views of the t and a columns.  A flush
-formats the int64 rows `_SLICE // 64` at a time and writes the pieces in
-order.  So neither holds the whole file in temporaries: a load holds the
-file, the columns and the differences of the order check (about 57 bytes
-per row of 12), and a flush the formatted rows and one slice's work.
+A load reads the file once as bytes, for the header, the ASCII check and
+the number n of whole body lines, before any torn tail.  numpy's text reader
+then reads those n lines from the file into int64 p, t and a columns, which
+are checked for order, duplicates and the Hasse bound; each prime's t and a
+are copied out of the columns.  A line numpy cannot read as three int64
+fields, or a failed check, sends the body of the first read through the
+exact line parser instead, which names the bad line.  The two reads see the
+same n lines: the single writer only appends, under its lock, and truncates
+only a torn tail, which lies past the last newline of any read.  A load
+holds the file, the columns and the per-prime copies (about 54 bytes per row
+of 12).  A flush formats the int64 rows `_SLICE` at a time and writes the
+pieces in order, so it holds the formatted rows and one piece's work.
 """
 
 from __future__ import annotations
@@ -28,6 +32,7 @@ import fcntl
 import os
 import re
 import threading
+import warnings
 
 import numpy as np
 
@@ -38,10 +43,11 @@ from .traces import TraceRecord, hasse_limit, param_array
 _MAGIC = "# stlab-cache v1 family="
 _I64 = 1 << 63
 _POW10 = 10 ** np.arange(20, dtype=np.uint64)
-# Bytes of the file parsed per step of a load.  A flush formats _SLICE // 64
-# rows per step: a row of three int64 fields takes at most 63 bytes, so each
-# formatted piece fits one slice.
-_SLICE = 1 << 18
+_SLICE = 4096  # rows per formatted piece of a flush
+# numpy's reader opens a path by its suffix (a cache named "x.gz" would be
+# read as gzip), so such a cache goes to the line parser; and it takes a
+# relative path with a scheme ("a://b") for a URL, so it is given absolute paths
+_COMPRESSED = (".gz", ".bz2", ".xz", ".lzma")
 
 
 def _alike(x: np.ndarray, y: np.ndarray):
@@ -129,8 +135,10 @@ class TraceCache:
                 f"{self.path}: cache belongs to family {fp}, expected {self.fingerprint}"
             )
         stop = data.rfind(b"\n") + 1  # without the torn tail
-        rows = _parse_body(data, end + 1, stop)
-        if rows is None:  # not plain short rows, or a bad row: the line parser names it
+        # numpy reads the separators 0x1c-0x1f as whitespace; int() refuses them
+        plain = not any(c in data for c in b"\x1c\x1d\x1e\x1f")
+        rows = _parse_body(self.path, data.count(b"\n", end + 1, stop)) if plain else None
+        if rows is None:  # not rows numpy reads, or a bad row: the line parser names it
             rows = _rows_of(_parse_lines(self.path, data[end + 1:stop].decode("ascii")))
         self._rows = rows
 
@@ -225,60 +233,47 @@ class TraceCache:
         with self._lock:
             return self._rows.keys() + self._pending.keys()
 
+    def primes(self) -> list[int]:
+        """The primes of the rows stored in the file or pending a flush, ascending."""
+        with self._lock:
+            return sorted(self._rows.by_p.keys() | self._pending.by_p.keys())
 
-def _parse_body(data: bytes, start: int, stop: int) -> _Rows | None:
-    """Rows of the body data[start:stop], a run of whole lines, when it is
-    made only of `p,t,a` lines with at most 18 digits per field (so values
-    and their differences fit int64), parsed and checked with numpy a slice
-    at a time.  None when the body has any other line, a Hasse violation or
-    a conflicting duplicate; `_parse_lines` then decides, exactly as it
-    always has."""
-    n = data.count(b"\n", start, stop)
+
+def _parse_body(path: str, n: int) -> _Rows | None:
+    """Rows of the first n body lines of the file at path, read by numpy's
+    text reader as int64 p, t and a columns and checked.  None when a line
+    is not a `p,t,a` row numpy reads into int64, or on a Hasse violation or
+    a conflicting duplicate; `_parse_lines` then decides."""
     if not n:
         return _Rows()
-    p, t, a = (np.empty(n, dtype=np.int64) for _ in range(3))
-    k = 0
-    while start < stop:
-        end = data.rfind(b"\n", start, min(start + _SLICE, stop)) + 1
-        if not end:  # a row longer than a slice: the slice runs to its end
-            end = data.find(b"\n", start) + 1
-        vals = _parse_slice(data, start, end)
-        if vals is None:
-            return None
-        m = len(vals) // 3
-        p[k:k + m], t[k:k + m], a[k:k + m] = vals[0::3], vals[1::3], vals[2::3]
-        k, start = k + m, end
-    return _checked_rows(p, t, a)
-
-
-def _parse_slice(data: bytes, start: int, end: int) -> np.ndarray | None:
-    """p0, t0, a0, p1, ... of the whole lines data[start:end], or None unless
-    every line is a plain short `p,t,a` row."""
-    b = np.frombuffer(data, dtype=np.uint8, count=end - start, offset=start)
-    sep = np.flatnonzero((b == ord(",")) | (b == ord("\n")))
-    minus = np.count_nonzero(b == ord("-"))
-    if np.count_nonzero(b - np.uint8(ord("0")) < 10) + len(sep) + minus != len(b):
-        return None  # a byte that is no digit, sign or separator
-    if len(sep) % 3 or (b[sep].reshape(-1, 3) != np.frombuffer(b",,\n", np.uint8)).any():
+    if path.endswith(_COMPRESSED):
         return None
-    first = np.concatenate(([0], sep[:-1] + 1))
-    neg = b[first] == ord("-")  # an empty field starts on its own separator
-    digits = sep - first - neg
-    if digits.min() < 1 or digits.max() > 18 or minus != np.count_nonzero(neg):
+    try:
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")  # numpy warns when max_rows skips a blank line
+            rows = np.loadtxt(os.path.abspath(path), dtype=np.int64, delimiter=",",
+                              comments=None, skiprows=1, max_rows=n, ndmin=2,
+                              encoding="ascii")
+    except OSError as e:
+        raise CacheError(f"{path}: cannot read: {e.strerror}") from None
+    except (ValueError, OverflowError, UnicodeError, Warning):
         return None
-    return np.fromstring(data[start:end].replace(b"\n", b","), dtype=np.int64, sep=",")
+    if rows.shape != (n, 3):
+        return None
+    return _checked_rows(*rows.T)
 
 
 def _checked_rows(p: np.ndarray, t: np.ndarray, a: np.ndarray) -> _Rows | None:
     """The rows of the int64 columns p, t, a, or None on a conflicting
     duplicate or a Hasse violation."""
-    dp, dt = np.diff(p), np.diff(t)
-    if ((dp < 0) | ((dp == 0) & (dt < 0))).any():  # appended by more than one flush
+    # neighbours are compared, not differenced: a difference of two int64
+    # fields can wrap
+    same_p = p[1:] == p[:-1]
+    if ((p[1:] < p[:-1]) | (same_p & (t[1:] < t[:-1]))).any():  # more than one flush
         order = np.lexsort((t, p))
         p, t, a = p[order], t[order], a[order]
-        dp, dt = np.diff(p), np.diff(t)
-    same = (dp == 0) & (dt == 0)
-    del dp, dt
+        same_p = p[1:] == p[:-1]
+    same = same_p & (t[1:] == t[:-1])
     if (same & (a[1:] != a[:-1])).any():
         return None
     if same.any():
@@ -290,10 +285,12 @@ def _checked_rows(p: np.ndarray, t: np.ndarray, a: np.ndarray) -> _Rows | None:
     lim = np.repeat([hasse_limit(q) for q in primes], np.diff(np.append(starts, len(t))))
     if ((a < -lim) | (a > lim)).any():
         return None
+    del lim
 
     rows = _Rows()
     for q, ts, az in zip(primes, np.split(t, starts[1:]), np.split(a, starts[1:])):
-        rows.by_p[q] = (ts, az)
+        # contiguous, so that lookups search them in place
+        rows.by_p[q] = (np.ascontiguousarray(ts), np.ascontiguousarray(az))
     return rows
 
 
@@ -338,7 +335,7 @@ def _rows_of(rows: dict[tuple[int, int], int]) -> _Rows:
 def _format_rows(rows: _Rows) -> list[bytes | np.ndarray]:
     """The lines `p,t,a` of `rows` in ascending (p, t), as f"{p},{t},{a}"
     writes them, in pieces to be written in order.  Runs of primes whose rows
-    are all int64 are formatted with numpy, _SLICE // 64 rows at a time; the
+    are all int64 are formatted with numpy, _SLICE rows at a time; the
     rows of every other prime are spliced in at their prime."""
     pieces, run = [], []
     for q in sorted(rows.by_p):
@@ -355,16 +352,15 @@ def _format_rows(rows: _Rows) -> list[bytes | np.ndarray]:
 
 
 def _format_run(run: list) -> list[np.ndarray]:
-    """The lines of a run of int64 primes (q, ts, a), one piece per
-    _SLICE // 64 rows; a piece may hold the rows of several primes."""
-    step = max(1, _SLICE // 64)
+    """The lines of a run of int64 primes (q, ts, a), one piece per _SLICE
+    rows; a piece may hold the rows of several primes."""
     pieces, group, n = [], [], 0
     for q, ts, a in run:
         while len(ts):
-            k = min(step - n, len(ts))
+            k = min(_SLICE - n, len(ts))
             group.append((q, ts[:k], a[:k]))
             ts, a, n = ts[k:], a[k:], n + k
-            if n == step:
+            if n == _SLICE:
                 pieces.append(_group_lines(group))
                 group, n = [], 0
     if group:

@@ -127,6 +127,25 @@ def test_cache_stats_on_a_trace_past_int64_exit_4(tmp_path, capsys):
     assert captured.err.startswith(f"cache error: {path}:2: trace a=")
 
 
+def test_cache_stats_lists_no_keys(tmp_path, monkeypatch, capsys):
+    # the rows and primes are read from the per-prime index, not from a
+    # tuple per row
+    from stlab.family import build_family, fingerprint_hex
+    from stlab.store import TraceCache
+
+    def no_keys(self):
+        raise AssertionError("cache stats listed every key")
+
+    path = tmp_path / "c.txt"
+    path.write_text(f"# stlab-cache v1 family={fingerprint_hex(build_family([0, 1], [0, 1]))}\n"
+                    f"101,1,3\n7,{3**60},-2\n101,2,0\n5,1,-3\n")
+    monkeypatch.setattr(TraceCache, "keys", no_keys)
+    code, out = run_json(capsys, ["cache", "stats", "--cache", str(path), "--f", "0,1",
+                                  "--g", "0,1"])
+    assert code == 0
+    assert [out[k] for k in ("rows", "distinct_primes", "p_min", "p_max")] == [4, 3, 5, 101]
+
+
 @pytest.mark.parametrize("parent", ["missing", "file"])
 def test_cache_dir_refused_before_any_trace(parent, tmp_path, monkeypatch, capsys):
     def no_traces(*args, **kwargs):

@@ -364,6 +364,23 @@ def test_charsum_sampled_mode_deterministic(fam_zz):
     assert "sampled(seed=11,count=20)" == a[0].mode
 
 
+def test_charsum_sampled_mode_needs_a_seed(fam_zz, monkeypatch, capsys):
+    # refused before the residue table, in the library and on the command line
+    def no_table(*args):
+        raise AssertionError("a residue table was built")
+
+    monkeypatch.setattr(ex.ResidueTable, "build", no_table)
+    for kwargs, what in [({"count": 3}, "needs a seed"), ({"seed": 7}, "positive count"),
+                         ({"seed": 7, "count": 0}, "positive count"),
+                         ({"mode": "all"}, "unknown mode")]:
+        with pytest.raises(ValueError, match=what):
+            ex.charsum_verify(fam_zz, 1009, 1, **{"mode": "sampled", **kwargs})
+    argv = ["verify", "charsum", "--f", "0,1", "--g", "0,1", "-p", "1009", "--n-max", "1",
+            "--mode", "sampled", "--count", "3"]
+    assert run(argv) == 1
+    assert capsys.readouterr().err == "error: sampled mode needs a seed\n"
+
+
 def test_charsum_rejects_degenerate(fam_zz):
     with pytest.raises(NondegeneracyError):
         ex.charsum_verify(build_family([0, 1], []), 13, 1)
@@ -518,6 +535,13 @@ def test_vaughan_validation(fam_zz):
         ex.vaughan_decompose(fam_zz, 101, 1)
     with pytest.raises(ValueError):
         ex.vaughan_decompose(fam_zz, 101, 10, K=5.0, M=5.0)
+    # NaN cuts are refused by the cuts check, before any sieve
+    nan = float("nan")
+    for cuts in [{"K": nan}, {"M": nan}, {"K": nan, "M": nan}, {"K": 2.0, "M": nan}]:
+        with pytest.raises(ValueError, match=r"need K, M >= 1 and K\*M <= L"):
+            ex.vaughan_decompose(fam_zz, 101, 100, **cuts)
+        with pytest.raises(ValueError, match=r"need K, M >= 1 and K\*M <= L"):
+            ex.mobius_sums(fam_zz, 101, 100, 1, **cuts)
     # sym degree n < 1 is refused everywhere, not silently run as n = 1
     for n in (0, -1):
         with pytest.raises(ValueError, match="degree"):

@@ -60,8 +60,9 @@ def test_bench_pairs_one_smoke_run_per_side(tmp_path):
 
 
 def test_bench_runs_compile_from_source(tmp_path, monkeypatch):
-    # every run.py gets PYTHONDONTWRITEBYTECODE and its own empty bytecode
-    # prefix, removed afterwards, so no side reads a __pycache__ it holds
+    # one bytecode prefix per invocation, never the caller's: an untimed
+    # --smoke run per side writes it before the first timed run, the timed
+    # runs read it with PYTHONDONTWRITEBYTECODE set, and it is removed after
     spec = importlib.util.spec_from_file_location("bench", ROOT / "scripts" / "bench.py")
     bench = importlib.util.module_from_spec(spec)
     spec.loader.exec_module(bench)
@@ -69,8 +70,7 @@ def test_bench_runs_compile_from_source(tmp_path, monkeypatch):
     seen = []
 
     def fake_run(argv, cwd, env, **kwargs):
-        prefix = Path(env["PYTHONPYCACHEPREFIX"])
-        seen.append((cwd, env, prefix.is_dir() and not any(prefix.iterdir())))
+        seen.append((cwd.name, "--smoke" in argv, env, Path(env["PYTHONPYCACHEPREFIX"]).is_dir()))
         record = {"machine": {"nproc": 1}}
         result = {"correct": True, "failed": 0,
                   "metrics": {name: {"value": 1.0} for name in names}}
@@ -80,13 +80,18 @@ def test_bench_runs_compile_from_source(tmp_path, monkeypatch):
     (tmp_path / "b").mkdir()
     (tmp_path / "b" / "BENCHMARK.json").write_text((ROOT / "BENCHMARK.json").read_text())
     monkeypatch.setenv("PYTHONPYCACHEPREFIX", str(tmp_path / "shared"))
+    monkeypatch.setenv("PYTHONDONTWRITEBYTECODE", "1")  # the warm-ups write all the same
     out = tmp_path / "bench.json"
     assert bench.main(["--base", str(tmp_path / "a"), "--change", str(tmp_path / "b"),
                        "--workload", "sums", "--pairs", "2", "--out", str(out)]) == 0
-    assert [cwd.name for cwd, _, _ in seen] == ["a", "b", "b", "a"]
-    prefixes = {env["PYTHONPYCACHEPREFIX"] for _, env, _ in seen}
-    assert len(prefixes) == 4 and str(tmp_path / "shared") not in prefixes
-    for _, env, fresh in seen:
-        assert env["PYTHONDONTWRITEBYTECODE"] == "1" and fresh
+    assert [(cwd, smoke) for cwd, smoke, _, _ in seen] == [
+        ("a", True), ("b", True), ("a", False), ("b", False), ("b", False), ("a", False)]
+    (prefix,) = {env["PYTHONPYCACHEPREFIX"] for _, _, env, _ in seen}
+    assert prefix != str(tmp_path / "shared")
+    for _, smoke, env, present in seen:
+        assert present
+        assert env.get("PYTHONDONTWRITEBYTECODE") == (None if smoke else "1")
         assert env["PATH"] == os.environ["PATH"]  # the rest of the environment is passed on
-    assert not any(Path(prefix).exists() for prefix in prefixes)
+    assert not Path(prefix).exists()
+    runs = json.loads(out.read_text())["sums"]["runs"]
+    assert [r["seed"] for r in runs["base"]] == [r["seed"] for r in runs["change"]] == [0, 1]

@@ -5,6 +5,7 @@ import json
 import random
 import sys
 import tracemalloc
+import warnings
 from concurrent.futures import ThreadPoolExecutor
 
 import numpy as np
@@ -20,19 +21,10 @@ from stlab.traces import batch_traces, hasse_limit, trace
 
 FAM_ARGS = ["--f", "0,1", "--g", "0,1"]
 BIG = 1 << 63
-# slice sizes of the loader and the writer: below one row, a row or two, a
-# few rows, many rows, and the default
-SLICES = (1, 7, 40, 4096, store._SLICE)
 
 
 def _write(path, fam, body):
     path.write_text(f"# stlab-cache v1 family={fingerprint_hex(fam)}\n{body}")
-
-
-def _at_each_slice(monkeypatch):
-    for size in SLICES:
-        monkeypatch.setattr(store, "_SLICE", size)
-        yield size
 
 
 def _held(rows):
@@ -107,19 +99,18 @@ def test_congruent_rows_that_disagree_exit_4(fam_zz, tmp_path, capsys):
     (f"5,{3**60},-3\n5,{3**60},2\n", 3, "conflicting duplicate"),
     ("5,1,-3\n7,1x,3\n", 3, "malformed row"),
     ("5,1,-3\n7,1-2,3\n", 3, "malformed row"),
+    ("5,1\n7,1\n", 2, "malformed row"),
+    ("5,1,-3,0\n7,1,3,0\n", 2, "malformed row"),
     pytest.param("5,1,-3\n" + "".join(f"7,{t},3\n" for t in range(40)) + "5,1,2\n",
                  43, "conflicting duplicate", id="duplicate-far-apart"),
     pytest.param("".join(f"7,{t},3\n" for t in range(40)) + "5,2,99\n",
                  42, "Hasse", id="hasse-in-the-last-row"),
 ])
-def test_bad_rows_on_load_name_their_line(fam_zz, tmp_path, monkeypatch, body, line, what):
-    # at slice sizes that split the two duplicates over many slices and put
-    # the bad row alone in the last one
+def test_bad_rows_on_load_name_their_line(fam_zz, tmp_path, body, line, what):
     path = tmp_path / "c.txt"
     _write(path, fam_zz, body)
-    for _ in _at_each_slice(monkeypatch):
-        with pytest.raises(CacheError, match=f":{line}: {what}"):
-            open_cache(str(path), fam_zz)
+    with pytest.raises(CacheError, match=f":{line}: {what}"):
+        open_cache(str(path), fam_zz)
 
 
 def test_cache_file_independent_of_threads(tmp_path, capsys):
@@ -134,7 +125,24 @@ def test_cache_file_independent_of_threads(tmp_path, capsys):
     assert files[0] == files[1]
 
 
-def test_loader_agrees_with_the_line_parser(fam_zz, tmp_path, monkeypatch):
+def _agrees_with_the_line_parser(path, fam, text):
+    """The cache at path, whose body is text, loads as `_parse_lines` reads
+    it (the rows held, values and dtypes) or fails with its error."""
+    _write(path, fam, text)
+    body = text.replace("\r\n", "\n").replace("\r", "\n")  # as text mode reads it
+    try:
+        want = _parse_lines(str(path), body[:body.rfind("\n") + 1])
+    except CacheError as e:
+        with pytest.raises(CacheError) as err:
+            open_cache(str(path), fam)
+        assert str(err.value) == str(e)
+        return None, None
+    cache = open_cache(str(path), fam)
+    assert _held(cache._rows) == _held(_rows_of(want))
+    return cache, want
+
+
+def test_loader_agrees_with_the_line_parser(fam_zz, tmp_path):
     rng = random.Random(6)
     rows = {}
     for _ in range(3000):
@@ -144,60 +152,114 @@ def test_loader_agrees_with_the_line_parser(fam_zz, tmp_path, monkeypatch):
         rows.setdefault((p, t), rng.randint(-int(2 * p**0.5), int(2 * p**0.5)))
     lines = [f"{p},{t},{a}\n" for (p, t), a in rows.items()]
     plain = [line for line in lines if abs(int(line.split(",")[1])) < 10**17]
-    # two flushes: the second goes back to the smaller primes in mid-slice
+    # two flushes: the second goes back to the smaller primes
     first, second = sorted(plain[:700], key=_row_key), sorted(plain[700:], key=_row_key)
-    # plain rows (with a repeat) load in bulk; any long field, a blank line or
-    # spaces send the file through the line parser; both must agree
+    # plain rows (with a repeat) load through numpy; a field past int64, a
+    # blank line or spaces may send the file through the line parser; both
+    # must agree
     for name, body in [("plain", "".join(plain + plain[:50])),
                        ("two-flushes", "".join(first + second)),
                        ("mixed", "".join(lines)),
-                       ("spaced", "\n".join(" " + line for line in plain))]:
-        path = tmp_path / f"{name}.txt"
-        _write(path, fam_zz, body)
-        want = _parse_lines(str(path), body)
-        for size in _at_each_slice(monkeypatch):
-            cache = open_cache(str(path), fam_zz)
-            assert len(cache) == len(want)
-            assert sorted(cache.keys()) == sorted(want)
-            assert _held(cache._rows) == _held(_rows_of(want))
-            if size == SLICES[-1]:  # the default
-                for (p, t), a in want.items():
-                    assert cache.get(p, t) == a
+                       ("spaced", "\n".join(" " + line for line in plain)),
+                       ("crlf", "".join(plain).replace("\n", "\r\n"))]:
+        cache, want = _agrees_with_the_line_parser(tmp_path / f"{name}.txt", fam_zz, body)
+        for (p, t), a in want.items():
+            assert cache.get(p, t) == a
+    # noise at the start, inside and at the end of a line: every ASCII
+    # control byte, a sign, a digit separator, whitespace-only lines and CR
+    noise = [chr(c) for c in (*range(32), 127)] + ["+", "_", " \n", "\t\x0b\x0c\x1f\n", "\r\n"]
+    short = plain[:40]
+    for i, bit in enumerate(noise):
+        for where in range(3):
+            k = rng.randrange(len(short))
+            at = (0, rng.randrange(1, len(short[k]) - 1), len(short[k]) - 1)[where]
+            text = "".join(short[:k]) + short[k][:at] + bit + "".join(short[k:])[at:]
+            _agrees_with_the_line_parser(tmp_path / f"noise{i}-{where}.txt", fam_zz, text)
 
 
-def test_torn_tail_and_non_ascii_at_every_slice(fam_zz, tmp_path, monkeypatch):
+def test_torn_tail_and_non_ascii(fam_zz, tmp_path):
     path = tmp_path / "c.txt"
     header = f"# stlab-cache v1 family={fingerprint_hex(fam_zz)}\n"
     lines = [f"{p},{t},{t % 7 - 3}\n" for p in (101, 1009) for t in range(-60, 60)]
     body = "".join(lines)
     want = _parse_lines(str(path), body)
-    for _ in _at_each_slice(monkeypatch):
-        # a torn tail is skipped, whatever part of a row it holds
-        for tail in ("1", "101,7", "1009,-", "5,1,2"):
-            _write(path, fam_zz, body + tail)
-            cache = open_cache(str(path), fam_zz)
-            assert sorted(cache.keys()) == sorted(want)
-            assert all(cache.get(p, t) == a for (p, t), a in list(want.items())[::37])
-        for torn in ("", header[:9], header[:-1]):  # inside the first header write
-            path.write_text(torn)
-            assert len(open_cache(str(path), fam_zz)) == 0
-        # the file reads as text mode reads it: \r\n ends a line as \n does
-        path.write_bytes((header + body).replace("\n", "\r\n").encode("ascii"))
+    # a torn tail is skipped, whatever part of a row it holds
+    for tail in ("1", "101,7", "1009,-", "5,1,2"):
+        _write(path, fam_zz, body + tail)
+        cache = open_cache(str(path), fam_zz)
+        assert sorted(cache.keys()) == sorted(want)
+        assert all(cache.get(p, t) == a for (p, t), a in list(want.items())[::37])
+    for torn in ("", header[:9], header[:-1]):  # inside the first header write
+        path.write_text(torn)
+        assert len(open_cache(str(path), fam_zz)) == 0
+    # a blank line does not move the reader into a torn tail that holds a
+    # whole row, whatever the warning filters
+    _write(path, fam_zz, "\n" + body + "5,1,2")
+    with warnings.catch_warnings():
+        warnings.simplefilter("ignore")
         assert sorted(open_cache(str(path), fam_zz).keys()) == sorted(want)
-        # a byte that is not ASCII, late in the file or in the torn tail, is
-        # reported on its own line
-        for k, text in [(len(lines), "".join(lines[:-2]) + "101,1\xe9,3\n" + lines[-1]),
-                        (len(lines) + 2, body + "7,\xe9")]:
-            path.write_bytes((header + text).encode("latin-1"))
-            with pytest.raises(CacheError, match=f":{k}: a byte that is not ASCII"):
-                open_cache(str(path), fam_zz)
+    # the file reads as text mode reads it: \r\n ends a line as \n does
+    path.write_bytes((header + body).replace("\n", "\r\n").encode("ascii"))
+    assert sorted(open_cache(str(path), fam_zz).keys()) == sorted(want)
+    # a byte that is not ASCII, late in the file or in the torn tail, is
+    # reported on its own line
+    for k, text in [(len(lines), "".join(lines[:-2]) + "101,1\xe9,3\n" + lines[-1]),
+                    (len(lines) + 2, body + "7,\xe9")]:
+        path.write_bytes((header + text).encode("latin-1"))
+        with pytest.raises(CacheError, match=f":{k}: a byte that is not ASCII"):
+            open_cache(str(path), fam_zz)
+
+
+def test_int64_edges_load_without_the_line_parser(fam_zz, tmp_path, monkeypatch):
+    # 19-digit fields, the powers of 2 in geometric progressions among them
+    def refuse(*args):
+        raise AssertionError("the line parser ran")
+
+    monkeypatch.setattr(store, "_parse_lines", refuse)
+    ts = [2**60, BIG - 1, -BIG, -(2**60), 0]
+    path = tmp_path / "c.txt"
+    _write(path, fam_zz, "".join(f"{p},{t},{t % 5 - 2}\n" for p in (101, 1009)
+                                 for t in sorted(ts)))
+    cache = open_cache(str(path), fam_zz)
+    for p in (101, 1009):
+        assert cache._rows.by_p[p][0].dtype == np.int64
+        a, hit = cache.lookup(p, ts + [1])
+        assert hit.tolist() == [True] * len(ts) + [False]
+        assert a.tolist() == [t % 5 - 2 for t in ts] + [0]
+
+
+def test_rows_of_two_flushes_at_the_int64_ends(fam_zz, tmp_path):
+    # the second flush puts t = -2^63 after t = 2^63 - 1 at one prime: the
+    # order check must see the fall, which a wrapped difference would hide
+    path = tmp_path / "c.txt"
+    for t, a in [(BIG - 1, 3), (-BIG, -4)]:
+        with open_cache(str(path), fam_zz) as cache:
+            cache.put_many(101, [t], [a])
+    assert path.read_text().splitlines()[1:] == [f"101,{BIG - 1},3", f"101,{-BIG},-4"]
+    cache = open_cache(str(path), fam_zz)
+    assert cache._rows.by_p[101][0].tolist() == [-BIG, BIG - 1]
+    a, hit = cache.lookup(101, [-BIG, BIG - 1, 0])
+    assert a.tolist() == [-4, 3, 0] and hit.tolist() == [True, True, False]
+
+
+@pytest.mark.parametrize("name", ["c.gz", "c.bz2", "c.xz", "c.lzma"])
+def test_cache_named_like_a_compressed_file(fam_zz, tmp_path, name):
+    # the file is text whatever its name; numpy's reader would decompress it
+    path = str(tmp_path / name)
+    with open_cache(path, fam_zz) as cache:
+        cache.put_many(101, [1, 2], [3, -4])
+    a, hit = open_cache(path, fam_zz).lookup(101, [2, 1])
+    assert a.tolist() == [-4, 3] and hit.all()
 
 
 def test_flush_writes_sorted_decimal_rows(fam_zz, tmp_path, monkeypatch):
     edge = [0, 9, 10, 99, 100, -1, -10, 10**18 - 1, -10**18, 10**18,
             BIG - 1, -(BIG - 1), BIG, -BIG, 3**60, -(3**60)]
     small = [t for t in edge if -BIG <= t < BIG]
-    for size in _at_each_slice(monkeypatch):
+    # rows per formatted piece: one, a few, fewer than the 160 rows of prime
+    # 13 below, and the default
+    for size in (1, 7, 64, store._SLICE):
+        monkeypatch.setattr(store, "_SLICE", size)
         path = tmp_path / f"c{size}.txt"
         want = {}
         with open_cache(str(path), fam_zz) as cache:
@@ -305,10 +367,10 @@ def test_threads_share_one_cache(fam_zz, tmp_path):
 
 def test_cache_load_and_flush_traced_peak(fam_zz, tmp_path):
     # 2 * 10**5 short rows over 200 primes (a file of 13 bytes per row).  A
-    # flush holds the formatted rows and one slice of temporaries (16 bytes
-    # per row); a load holds the file, the int64 p, t and a columns and the
-    # order checks' differences (57 bytes per row).  Formatting and parsing
-    # the whole file at once took 137 and 173.
+    # flush holds the formatted rows and one piece of temporaries (16 bytes
+    # per row); a load holds the file, numpy's int64 array of the rows and
+    # each prime's copies of its t and a (54 bytes per row).  Formatting and
+    # parsing the whole file at once took 137 and 173.
     rng = np.random.default_rng(0)
     path = str(tmp_path / "c.txt")
     cache = open_cache(path, fam_zz)
