@@ -10,9 +10,13 @@ file at --out maps each workload to its entry, so one file collects several
 invocations; an entry holds every run's metrics, `correct` and `failed`,
 per side the median and quartiles of each end-to-end metric, the number of
 pairs the change wins per metric (by the direction in the change's
-BENCHMARK.json), and each side's machine record from run.py's diagnostics
-line.  The workloads are perfbench's own.  Exits 1 when a run gives no result or is not correct,
-after writing the file.
+BENCHMARK.json), whether each metric is resolved (the two medians differ by
+more than the base side's interquartile range, which needs at least two
+base runs), and each side's machine record from run.py's diagnostics line.
+`change_wins` and `resolved` are the two halves of a claim: the change
+better in most pairs, and by more than the base side's spread.  The
+workloads are perfbench's own.  Exits 1 when a run gives no result or is
+not correct, after writing the file.
 
 Every run reads its bytecode from one PYTHONPYCACHEPREFIX directory made for
 the invocation and removed afterwards, never from a checkout's own
@@ -88,7 +92,7 @@ def main(argv=None) -> int:
 
     ok = all(r.get("correct") for side in SIDES for r in runs[side])
     stats = {side: {} for side in SIDES}
-    wins = {}
+    wins, resolved = {}, {}
     for name, is_lower in lower.items():
         values = {side: [r.get("metrics", {}).get(name) for r in runs[side]] for side in SIDES}
         for side in SIDES:
@@ -97,12 +101,15 @@ def main(argv=None) -> int:
                 stats[side][name] = summary(measured)
         wins[name] = sum(b is not None and c is not None and (c < b if is_lower else c > b)
                          for b, c in zip(values["base"], values["change"]))
+        base, change = stats["base"].get(name), stats["change"].get(name)
+        resolved[name] = (sum(v is not None for v in values["base"]) > 1 and change is not None
+                          and abs(change["median"] - base["median"]) > base["q3"] - base["q1"])
     out = json.loads(args.out.read_text()) if args.out.exists() else {}
     out[args.workload] = {
         "pairs": args.pairs, "smoke": args.smoke, "correct": ok,
         "machine": {side: next((r["machine"] for r in runs[side] if "machine" in r), None)
                     for side in SIDES},
-        "summary": stats, "change_wins": wins,
+        "summary": stats, "change_wins": wins, "resolved": resolved,
         "runs": {side: [{k: v for k, v in r.items() if k != "machine"} for r in runs[side]]
                  for side in SIDES},
     }

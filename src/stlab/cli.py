@@ -25,7 +25,12 @@ import numpy as np
 from . import experiments as ex
 from .errors import CacheError, NondegeneracyError, RefusedError
 from .family import build_family, check_nondeg_global, fingerprint_hex, reduce_at
-from .finite_field import ResidueTable, require_prime_above_3, require_table_size
+from .finite_field import (
+    TABLE_LIMIT,
+    ResidueTable,
+    require_prime_above_3,
+    require_table_size,
+)
 from .param_sets import (
     divisor_window_count,
     geometric,
@@ -33,6 +38,7 @@ from .param_sets import (
     order_sum,
     primes_upto,
     product_residues,
+    require_size,
     subgroup,
 )
 from .sato_tate import AngleSample, Interval, discrepancy_report, mu_st
@@ -47,12 +53,28 @@ def _parse_coeffs(text: str) -> list[int]:
         raise ValueError(f"bad coefficient list {text!r}; expected comma-separated integers")
 
 
-def _parse_intset(text: str) -> list[int]:
-    """Accept '1..50' ranges or comma lists like '1,2,7'."""
-    if ".." in text:
-        lo, hi = text.split("..", 1)
-        return list(range(int(lo), int(hi) + 1))
-    return [int(v) for v in text.split(",")]
+def _parse_intset(text: str, flag: str) -> range | list[int]:
+    """Accept '1..50' ranges (kept as a range, so nothing is listed yet) or
+    comma lists like '1,2,7'."""
+    try:
+        if ".." in text:
+            lo, hi = text.split("..", 1)
+            return range(int(lo), int(hi) + 1)
+        return [int(v) for v in text.split(",")]
+    except ValueError:
+        raise ValueError(f"bad {flag} {text!r}; expected lo..hi or comma-separated "
+                         "integers") from None
+
+
+def _product_sets(args):
+    """U and V of --set-u and --set-v, refused with exit 3 when U x V has more
+    than TABLE_LIMIT elements, before either set is listed."""
+    U, V = _parse_intset(args.set_u, "--set-u"), _parse_intset(args.set_v, "--set-v")
+    # len() of a range past sys.maxsize raises OverflowError
+    size = math.prod(max(s.stop - s.start, 0) if isinstance(s, range) else len(s)
+                     for s in (U, V))
+    require_size(size, TABLE_LIMIT, "#U*#V")
+    return U, V
 
 
 def _json_default(obj):
@@ -133,7 +155,7 @@ def _angles_params(args, p):
     elif kind == "product":
         if not args.set_u or not args.set_v:
             raise ValueError("product kind needs --set-u and --set-v")
-        ps = product_residues(_parse_intset(args.set_u), _parse_intset(args.set_v), p)
+        ps = product_residues(*_product_sets(args), p)
     elif kind == "primes":
         if args.limit is None:
             raise ValueError("primes kind needs -L")
@@ -145,6 +167,7 @@ def _angles_params(args, p):
     else:
         if args.offset is None or args.window is None:
             raise ValueError("interval kind needs -M and -N")
+        require_size(args.window, TABLE_LIMIT, "N")
         ps = interval_params(args.offset, args.window)
     return list(ps.elements), ps.descriptor
 
@@ -258,8 +281,8 @@ def _vertical_subgroup(args, fam, iv):
 
 
 def _vertical_product(args, fam, iv):
-    return _vertical_report(ex.vertical_product(fam, args.prime, _parse_intset(args.set_u),
-                                                _parse_intset(args.set_v), iv), iv)
+    return _vertical_report(ex.vertical_product(fam, args.prime, *_product_sets(args), iv),
+                            iv)
 
 
 def _vertical_primes(args, fam, iv):
@@ -268,8 +291,7 @@ def _vertical_primes(args, fam, iv):
 
 def _mixed_product(args, fam, iv):
     with _mixed_cache(args, fam) as cache:
-        rep = ex.mixed_product(fam, args.xmax, _parse_intset(args.set_u),
-                               _parse_intset(args.set_v), iv, cache=cache,
+        rep = ex.mixed_product(fam, args.xmax, *_product_sets(args), iv, cache=cache,
                                threads=args.threads)
     return _mixed_report(rep, iv)
 

@@ -27,7 +27,7 @@ from .param_sets import (
     prime_array,
     primes_upto,
     product_residues,
-    require_sieve_size,
+    require_size,
     sieve_arith,
     subgroup,
     subgroup_index,
@@ -492,7 +492,7 @@ def _cuts(L: int, K: float | None, M: float | None) -> tuple[float, float]:
         M = L ** (1.0 / 3.0)
     if not (K >= 1 and M >= 1 and K * M <= L + 1e-9):  # so NaN is refused too
         raise ValueError("need K, M >= 1 and K*M <= L")
-    require_sieve_size(L, IDENTITY_LIMIT, "L")
+    require_size(L, IDENTITY_LIMIT, "L")
     need = L * (19 + 20 / K + 32 / (int(M) + 1))  # bytes, by the IDENTITY_LIMIT comment
     if need > IDENTITY_BUDGET:
         raise RefusedError(f"cuts K={K:g}, M={M:g} at L={L} need about {need / 1e9:.2g} GB, "
@@ -582,7 +582,7 @@ def prime_sym_sum(fam: FamilyPoly, p: int, L: int, n: int):
     _require_degree(n)
     if L < 2:
         raise ValueError("L must be >= 2")
-    require_sieve_size(L, PRIME_SUM_LIMIT, "L")
+    require_size(L, PRIME_SUM_LIMIT, "L")
     _require_nondeg_mod_p(fam, p)
     ells = prime_array(L)
     value = _sym_over_params(fam, p, ells, n)

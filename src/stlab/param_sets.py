@@ -157,8 +157,9 @@ def divisor_counts(n: int) -> np.ndarray:
     return tau
 
 
-def require_sieve_size(n: int, limit: int, what: str) -> None:
-    """Raise RefusedError for a sieve bound n above limit, before any O(n) array."""
+def require_size(n: int, limit: int, what: str) -> None:
+    """Raise RefusedError for a size n (a sieve bound, a set's element count)
+    above limit, before any O(n) array."""
     if n > limit:
         raise RefusedError(f"{what}={n} exceeds the {limit} limit")
 
@@ -179,7 +180,7 @@ def order_sum(x: int, lam: int, alpha: float) -> float:
     """sum over primes p <= x, p not dividing lam, of 1 / ord_p(lam)^alpha."""
     if abs(lam) <= 1:
         raise ValueError("|lambda| must exceed 1")
-    require_sieve_size(x, ORDERS_LIMIT, "x")
+    require_size(x, ORDERS_LIMIT, "x")
     spf = _least_prime_factors(x)
     primes = np.flatnonzero(spf == 0)[2:]  # 0 and 1 are no primes
     total = 0.0
@@ -233,7 +234,7 @@ def divisor_window_count(x: int, y: int) -> int:
     """#{p <= x : some divisor d of p-1 lies in (y, 2y]}."""
     if y < 3:
         raise ValueError("y must be >= 3")
-    require_sieve_size(x, ORDERS_LIMIT, "x")
+    require_size(x, ORDERS_LIMIT, "x")
     prime = _prime_mask(x)
     hit = np.zeros(len(prime), dtype=bool)
     for d in range(y + 1, min(2 * y, x) + 1):

@@ -12,18 +12,20 @@ calls (`lookup`, `put_many`).  The t array is int64 until a row of that prime
 leaves int64 (high powers in geometric progressions), and exact Python ints
 (dtype object) from then on.
 
-A load reads the file once as bytes, for the header, the ASCII check and
-the number n of whole body lines, before any torn tail.  numpy's text reader
-then reads those n lines from the file into int64 p, t and a columns, which
-are checked for order, duplicates and the Hasse bound; each prime's t and a
-are copied out of the columns.  A line numpy cannot read as three int64
-fields, or a failed check, sends the body of the first read through the
-exact line parser instead, which names the bad line.  The two reads see the
-same n lines: the single writer only appends, under its lock, and truncates
-only a torn tail, which lies past the last newline of any read.  A load
-holds the file, the columns and the per-prime copies (about 54 bytes per row
-of 12).  A flush formats the int64 rows `_SLICE` at a time and writes the
-pieces in order, so it holds the formatted rows and one piece's work.
+A load first reads the file as bytes, for the header, the ASCII check and
+the number n of whole body lines, before any torn tail, and drops those
+bytes.  numpy's text reader then reads the n lines from the file into an
+n x 3 int64 block of p, t and a, which is checked for order, duplicates
+and the Hasse bound (per prime, against the largest and smallest a); each
+prime's t and a are views of the block, so a load peaks at about 28 bytes
+per row of 12 and then holds the block's 24.  A line numpy cannot read as
+three int64 fields, or a failed check, sends the file through the exact
+line parser instead, which names the bad line: it reads the file again,
+reads its line ends as the first read did and takes the same n lines.
+Every read sees the same n lines: the single writer only appends, under its
+lock, and truncates only a torn tail, which lies past the last newline of
+any read.  A flush formats the int64 rows `_SLICE` at a time and writes
+the pieces in order, so it holds the formatted rows and one piece's work.
 """
 
 from __future__ import annotations
@@ -59,7 +61,9 @@ def _alike(x: np.ndarray, y: np.ndarray):
 
 class _Rows:
     """(p, t) -> a.  Per prime: ascending t (int64, or dtype object once a t
-    leaves int64) and the matching int64 a."""
+    leaves int64) and the matching int64 a.  A loaded prime's t and a are
+    strided views of the loader's block; `searchsorted` copies one prime's
+    t per call, and `add` replaces both with new arrays."""
 
     def __init__(self):
         self.by_p: dict[int, tuple[np.ndarray, np.ndarray]] = {}
@@ -114,16 +118,11 @@ class TraceCache:
     def _load(self):
         if not os.path.exists(self.path):
             return
-        try:
-            with open(self.path, "rb") as fh:
-                data = fh.read()
-        except OSError as e:
-            raise CacheError(f"{self.path}: cannot read: {e.strerror}") from None
+        data = _read(self.path)
         if not data.isascii():
             line = data.count(b"\n", 0, re.search(rb"[\x80-\xff]", data).start()) + 1
             raise CacheError(f"{self.path}:{line}: a byte that is not ASCII")
-        if b"\r" in data:  # read as text mode reads it, with universal newlines
-            data = data.replace(b"\r\n", b"\n").replace(b"\r", b"\n")
+        data = _text_newlines(data)
         end = data.find(b"\n")  # of the header
         if end < 0 and (_MAGIC + self.fingerprint).encode("ascii").startswith(data):
             return  # empty, or torn inside the first header write
@@ -135,11 +134,14 @@ class TraceCache:
                 f"{self.path}: cache belongs to family {fp}, expected {self.fingerprint}"
             )
         stop = data.rfind(b"\n") + 1  # without the torn tail
+        n = data.count(b"\n", end + 1, stop)
         # numpy reads the separators 0x1c-0x1f as whitespace; int() refuses them
         plain = not any(c in data for c in b"\x1c\x1d\x1e\x1f")
-        rows = _parse_body(self.path, data.count(b"\n", end + 1, stop)) if plain else None
+        del data  # the parse holds the rows, not the file
+        rows = _parse_body(self.path, n) if plain else None
         if rows is None:  # not rows numpy reads, or a bad row: the line parser names it
-            rows = _rows_of(_parse_lines(self.path, data[end + 1:stop].decode("ascii")))
+            body = _text_newlines(_read(self.path))[end + 1:stop].decode("ascii")
+            rows = _rows_of(_parse_lines(self.path, body))
         self._rows = rows
 
     def _held(self, p: int, ts: np.ndarray):
@@ -239,11 +241,27 @@ class TraceCache:
             return sorted(self._rows.by_p.keys() | self._pending.by_p.keys())
 
 
+def _read(path: str) -> bytes:
+    """The bytes of the file at path; a failed read is a CacheError."""
+    try:
+        with open(path, "rb") as fh:
+            return fh.read()
+    except OSError as e:
+        raise CacheError(f"{path}: cannot read: {e.strerror}") from None
+
+
+def _text_newlines(data: bytes) -> bytes:
+    """data with its line ends read as text mode reads them (universal newlines)."""
+    if b"\r" in data:
+        data = data.replace(b"\r\n", b"\n").replace(b"\r", b"\n")
+    return data
+
+
 def _parse_body(path: str, n: int) -> _Rows | None:
     """Rows of the first n body lines of the file at path, read by numpy's
-    text reader as int64 p, t and a columns and checked.  None when a line
-    is not a `p,t,a` row numpy reads into int64, or on a Hasse violation or
-    a conflicting duplicate; `_parse_lines` then decides."""
+    text reader as an n x 3 int64 block and checked.  None when a line is
+    not a `p,t,a` row numpy reads into int64, or on a Hasse violation or a
+    conflicting duplicate; `_parse_lines` then decides."""
     if not n:
         return _Rows()
     if path.endswith(_COMPRESSED):
@@ -251,46 +269,44 @@ def _parse_body(path: str, n: int) -> _Rows | None:
     try:
         with warnings.catch_warnings():
             warnings.simplefilter("error")  # numpy warns when max_rows skips a blank line
-            rows = np.loadtxt(os.path.abspath(path), dtype=np.int64, delimiter=",",
-                              comments=None, skiprows=1, max_rows=n, ndmin=2,
-                              encoding="ascii")
+            block = np.loadtxt(os.path.abspath(path), dtype=np.int64, delimiter=",",
+                               comments=None, skiprows=1, max_rows=n, ndmin=2,
+                               encoding="ascii")
     except OSError as e:
         raise CacheError(f"{path}: cannot read: {e.strerror}") from None
     except (ValueError, OverflowError, UnicodeError, Warning):
         return None
-    if rows.shape != (n, 3):
+    if block.shape != (n, 3):
         return None
-    return _checked_rows(*rows.T)
+    return _checked_rows(block)
 
 
-def _checked_rows(p: np.ndarray, t: np.ndarray, a: np.ndarray) -> _Rows | None:
-    """The rows of the int64 columns p, t, a, or None on a conflicting
-    duplicate or a Hasse violation."""
+def _checked_rows(block: np.ndarray) -> _Rows | None:
+    """The rows of the n x 3 int64 block of (p, t, a), or None on a
+    conflicting duplicate or a Hasse violation.  Each prime's t and a are
+    views of the block, or of its sorted copy."""
+    p, t, a = block.T
     # neighbours are compared, not differenced: a difference of two int64
     # fields can wrap
     same_p = p[1:] == p[:-1]
     if ((p[1:] < p[:-1]) | (same_p & (t[1:] < t[:-1]))).any():  # more than one flush
-        order = np.lexsort((t, p))
-        p, t, a = p[order], t[order], a[order]
+        block = block[np.lexsort((t, p))]
+        p, t, a = block.T
         same_p = p[1:] == p[:-1]
     same = same_p & (t[1:] == t[:-1])
     if (same & (a[1:] != a[:-1])).any():
         return None
     if same.any():
-        keep = np.concatenate(([True], ~same))
-        p, t, a = p[keep], t[keep], a[keep]
+        block = block[np.concatenate(([True], ~same))]
+        p, t, a = block.T
     starts = np.concatenate(([0], np.flatnonzero(p[1:] != p[:-1]) + 1))
     primes = p[starts].tolist()
-    del p
-    lim = np.repeat([hasse_limit(q) for q in primes], np.diff(np.append(starts, len(t))))
-    if ((a < -lim) | (a > lim)).any():
+    lim = np.array([hasse_limit(q) for q in primes], dtype=np.int64)
+    if ((np.maximum.reduceat(a, starts) > lim) | (np.minimum.reduceat(a, starts) < -lim)).any():
         return None
-    del lim
 
     rows = _Rows()
-    for q, ts, az in zip(primes, np.split(t, starts[1:]), np.split(a, starts[1:])):
-        # contiguous, so that lookups search them in place
-        rows.by_p[q] = (np.ascontiguousarray(ts), np.ascontiguousarray(az))
+    rows.by_p = dict(zip(primes, zip(np.split(t, starts[1:]), np.split(a, starts[1:]))))
     return rows
 
 

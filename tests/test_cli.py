@@ -763,3 +763,82 @@ def test_prime_above_table_limit_refused_before_any_set(argv, monkeypatch, capsy
     assert captured.out == ""
     assert captured.err.startswith("refused: ") and "8388608" in captured.err
     assert peak < 4 << 20
+
+
+PRODUCT_COMMANDS = {
+    "angles": ["angles", *FAM, "-p", "101", "--kind", "product"],
+    "vertical-product": ["experiment", "vertical-product", *FAM, "-p", "101"],
+    "mixed-product": ["experiment", "mixed-product", *FAM, "-x", "30"],
+}
+
+
+def _refused_before(argv, builders, monkeypatch, capsys):
+    """run(argv) exits 3 with a limit of TABLE_LIMIT = 2**23, with each of
+    builders patched to raise and no large allocation on the way."""
+    def fail(*args, **kwargs):
+        raise AssertionError("a parameter set was built before the refusal")
+
+    for name in builders:
+        monkeypatch.setattr(name, fail)
+    tracemalloc.start()
+    try:
+        code = run(argv)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    captured = capsys.readouterr()
+    assert code == 3
+    assert captured.out == ""
+    assert captured.err.startswith("refused: ") and "8388608" in captured.err
+    assert captured.err.count("\n") == 1
+    assert peak < 4 << 20
+
+
+@pytest.mark.parametrize("sets", [("1..8388609", "1"), ("1", "0..8388608"),
+                                  ("1..3000", "1..3000"), (",".join(["7"] * 3000), "1..2797"),
+                                  ("1..1" + "0" * 30, "1..1" + "0" * 30)],
+                         ids=["set-u", "set-v", "product", "comma-list", "past-maxsize"])
+@pytest.mark.parametrize("command", sorted(PRODUCT_COMMANDS))
+def test_product_set_above_table_limit_refused_before_any_set(command, sets, monkeypatch,
+                                                              capsys):
+    # #U * #V is read from the text of --set-u and --set-v; a range is never
+    # listed, and neither the product set nor the experiment is built
+    builders = ["stlab.cli.product_residues", "stlab.experiments.vertical_product",
+                "stlab.experiments.mixed_product"]
+    _refused_before([*PRODUCT_COMMANDS[command], "--set-u", sets[0], "--set-v", sets[1]],
+                    builders, monkeypatch, capsys)
+
+
+@pytest.mark.parametrize("argv", [
+    *([*PRODUCT_COMMANDS[c], "--set-u", "1..2", "--set-v", "1..4194304"]
+      for c in sorted(PRODUCT_COMMANDS)),
+    ["angles", *FAM, "-p", "101", "--kind", "interval", "-M", "0", "-N", "8388608"],
+], ids=[*sorted(PRODUCT_COMMANDS), "interval"])
+def test_sizes_at_table_limit_reach_the_builder(argv, monkeypatch, capsys):
+    # TABLE_LIMIT = 2**23 elements pass the refusal
+    def stop(*args, **kwargs):
+        raise ValueError("reached the builder")
+
+    for name in ("stlab.cli.product_residues", "stlab.cli.interval_params",
+                 "stlab.experiments.vertical_product", "stlab.experiments.mixed_product"):
+        monkeypatch.setattr(name, stop)
+    assert run(argv) == 1
+    assert capsys.readouterr().err == "error: reached the builder\n"
+
+
+def test_interval_above_table_limit_refused_before_the_set(monkeypatch, capsys):
+    _refused_before(["angles", *FAM, "-p", "101", "--kind", "interval", "-M", "0",
+                     "-N", "8388609"], ["stlab.cli.interval_params"], monkeypatch, capsys)
+
+
+@pytest.mark.parametrize("flag", ["--set-u", "--set-v"])
+@pytest.mark.parametrize("text", ["1..", "..3", "1..x", "1,,2", "a"])
+@pytest.mark.parametrize("command", sorted(PRODUCT_COMMANDS))
+def test_bad_set_names_its_flag(command, flag, text, capsys):
+    sets = {"--set-u": "1..3", "--set-v": "1..3", flag: text}
+    code = run([*PRODUCT_COMMANDS[command], *(x for kv in sets.items() for x in kv)])
+    captured = capsys.readouterr()
+    assert code == 1
+    assert captured.out == ""
+    assert captured.err == (f"error: bad {flag} {text!r}; expected lo..hi or "
+                            "comma-separated integers\n")

@@ -57,24 +57,36 @@ def test_bench_pairs_one_smoke_run_per_side(tmp_path):
         assert {"nproc", "python", "numpy", "git_commit"} <= set(bench["machine"][side])
     assert sorted(bench["change_wins"]) == sorted(names)
     assert set(bench["change_wins"].values()) <= {0, 1}
+    # one base run has no spread to compare a difference with
+    assert bench["resolved"] == {name: False for name in names}
+
+
+def _bench_module():
+    spec = importlib.util.spec_from_file_location("bench", ROOT / "scripts" / "bench.py")
+    bench = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(bench)
+    return bench
+
+
+def _completed(argv, metrics):
+    """A finished run.py process that printed these metrics."""
+    record = {"machine": {"nproc": 1}}
+    result = {"correct": True, "failed": 0,
+              "metrics": {name: {"value": v} for name, v in metrics.items()}}
+    return subprocess.CompletedProcess(argv, 0, f"{json.dumps(record)}\n{json.dumps(result)}\n", "")
 
 
 def test_bench_runs_compile_from_source(tmp_path, monkeypatch):
     # one bytecode prefix per invocation, never the caller's: an untimed
     # --smoke run per side writes it before the first timed run, the timed
     # runs read it with PYTHONDONTWRITEBYTECODE set, and it is removed after
-    spec = importlib.util.spec_from_file_location("bench", ROOT / "scripts" / "bench.py")
-    bench = importlib.util.module_from_spec(spec)
-    spec.loader.exec_module(bench)
+    bench = _bench_module()
     names = [m["name"] for m in json.loads((ROOT / "BENCHMARK.json").read_text())["end_to_end"]]
     seen = []
 
     def fake_run(argv, cwd, env, **kwargs):
         seen.append((cwd.name, "--smoke" in argv, env, Path(env["PYTHONPYCACHEPREFIX"]).is_dir()))
-        record = {"machine": {"nproc": 1}}
-        result = {"correct": True, "failed": 0,
-                  "metrics": {name: {"value": 1.0} for name in names}}
-        return subprocess.CompletedProcess(argv, 0, f"{json.dumps(record)}\n{json.dumps(result)}\n", "")
+        return _completed(argv, {name: 1.0 for name in names})
 
     monkeypatch.setattr(bench.subprocess, "run", fake_run)
     (tmp_path / "b").mkdir()
@@ -95,3 +107,29 @@ def test_bench_runs_compile_from_source(tmp_path, monkeypatch):
     assert not Path(prefix).exists()
     runs = json.loads(out.read_text())["sums"]["runs"]
     assert [r["seed"] for r in runs["base"]] == [r["seed"] for r in runs["change"]] == [0, 1]
+
+
+def test_bench_resolves_medians_apart_by_more_than_the_base_spread(tmp_path, monkeypatch):
+    # base runs 1.0, 1.1, 1.2, 1.3 (median 1.15, quartiles 1.075 and 1.225);
+    # the change reads 0.5 everywhere but peak_rss_mb, where it reads 0.01
+    # more than the base: that median differs by less than the spread
+    bench = _bench_module()
+    names = [m["name"] for m in json.loads((ROOT / "BENCHMARK.json").read_text())["end_to_end"]]
+
+    def fake_run(argv, cwd, env, **kwargs):
+        base = 1.0 + 0.1 * int(argv[argv.index("--seed") + 1])
+        return _completed(argv, {name: base if cwd.name == "a" else
+                                 base + 0.01 if name == "peak_rss_mb" else 0.5
+                                 for name in names})
+
+    monkeypatch.setattr(bench.subprocess, "run", fake_run)
+    (tmp_path / "b").mkdir()
+    (tmp_path / "b" / "BENCHMARK.json").write_text((ROOT / "BENCHMARK.json").read_text())
+    out = tmp_path / "bench.json"
+    assert bench.main(["--base", str(tmp_path / "a"), "--change", str(tmp_path / "b"),
+                       "--workload", "sums", "--pairs", "4", "--out", str(out)]) == 0
+    entry = json.loads(out.read_text())["sums"]
+    assert entry["summary"]["base"]["wall_s"] == pytest.approx(
+        {"median": 1.15, "q1": 1.075, "q3": 1.225})
+    assert entry["resolved"] == {name: name != "peak_rss_mb" for name in names}
+    assert entry["change_wins"] == {name: 0 if name == "peak_rss_mb" else 4 for name in names}
