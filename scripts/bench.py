@@ -12,9 +12,13 @@ per side the median and quartiles of each end-to-end metric, the number of
 pairs the change wins per metric (by the direction in the change's
 BENCHMARK.json), whether each metric is resolved (the two medians differ by
 more than the base side's interquartile range, which needs at least two
-base runs), and each side's machine record from run.py's diagnostics line.
-`change_wins` and `resolved` are the two halves of a claim: the change
-better in most pairs, and by more than the base side's spread.  The
+base runs), per metric `change_over_base` (the change's median over the
+base's, minus 1) next to that metric's `bound` from BENCHMARK.json, and each
+side's machine record from run.py's diagnostics line.  `change_wins` and
+`resolved` are the two halves of a claim: the change better in most pairs,
+and by more than the base side's spread.  A lower-is-better metric whose
+`change_over_base` is above its `bound` got worse by more than the
+benchmark allows.  The
 workloads are perfbench's own.  Exits 1 when a run gives no result or is
 not correct, after writing the file.
 
@@ -75,6 +79,7 @@ def main(argv=None) -> int:
 
     spec = json.loads((args.change / "BENCHMARK.json").read_text())
     lower = {m["name"]: m["better"] == "lower" for m in spec["end_to_end"]}
+    bound = {m["name"]: m["bound"] for m in spec["end_to_end"]}
     runs = {side: [] for side in SIDES}
     with tempfile.TemporaryDirectory(prefix="bench-pycache-") as pycache:
         warm = {**os.environ, "PYTHONPYCACHEPREFIX": pycache}
@@ -92,7 +97,7 @@ def main(argv=None) -> int:
 
     ok = all(r.get("correct") for side in SIDES for r in runs[side])
     stats = {side: {} for side in SIDES}
-    wins, resolved = {}, {}
+    wins, resolved, over = {}, {}, {}
     for name, is_lower in lower.items():
         values = {side: [r.get("metrics", {}).get(name) for r in runs[side]] for side in SIDES}
         for side in SIDES:
@@ -104,12 +109,15 @@ def main(argv=None) -> int:
         base, change = stats["base"].get(name), stats["change"].get(name)
         resolved[name] = (sum(v is not None for v in values["base"]) > 1 and change is not None
                           and abs(change["median"] - base["median"]) > base["q3"] - base["q1"])
+        over[name] = (change["median"] / base["median"] - 1
+                      if base and change and base["median"] else None)
     out = json.loads(args.out.read_text()) if args.out.exists() else {}
     out[args.workload] = {
         "pairs": args.pairs, "smoke": args.smoke, "correct": ok,
         "machine": {side: next((r["machine"] for r in runs[side] if "machine" in r), None)
                     for side in SIDES},
         "summary": stats, "change_wins": wins, "resolved": resolved,
+        "change_over_base": over, "bound": bound,
         "runs": {side: [{k: v for k, v in r.items() if k != "machine"} for r in runs[side]]
                  for side in SIDES},
     }

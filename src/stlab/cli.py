@@ -163,6 +163,7 @@ def _angles_params(args, p):
     elif kind == "geometric":
         if args.lam is None or args.length is None:
             raise ValueError("geometric kind needs --lam and -T")
+        require_size(args.length, TABLE_LIMIT, "T")
         ps = geometric(args.lam, args.length, p)
     else:
         if args.offset is None or args.window is None:

@@ -52,6 +52,13 @@ PRIME2_NOTE = "bracket omits the L^(c/log log L) factor; c is not effective"
 IDENTITY_LIMIT = 2 * 10**7
 IDENTITY_BUDGET = 4 * 10**8
 PRIME_SUM_LIMIT = 10**8
+# mixed_geometric builds lam^1 .. lam^T as Python ints: about
+# T^2 log2|lam| / 15 bytes (4 bytes per 30-bit digit).  Traced at T = 16000
+# with lam = 2, 3 and 10, T = 4000 with lam = 10**6 + 3 and T = 2000 with
+# lam = 2**61 - 1, they held 17.7, 27.7, 14.5, 21.4 and 16.3 MB, 0.5-3.5%
+# above that figure (ru_maxrss 8-52% above).  mixed_geometric refuses a T
+# and lam whose powers would pass POWERS_BUDGET bytes by it.
+POWERS_BUDGET = 4 * 10**8
 
 
 # ---------------------------------------------------------------------------
@@ -284,6 +291,12 @@ def mixed_geometric(fam: FamilyPoly, x: int, lam: int, T: int, iv: Interval,
         raise ValueError("T must be >= 1")
     if x < 3:
         raise ValueError("x must be >= 3")
+    # bytes, by the POWERS_BUDGET comment; a T past the budget is past it at
+    # every |lam| >= 2, and T * T may not convert to a float
+    need = math.inf if T > POWERS_BUDGET else T * T * math.log2(abs(lam)) / 15
+    if need > POWERS_BUDGET:
+        raise RefusedError(f"T={T} powers of a {abs(lam).bit_length()}-bit lambda need about "
+                           f"{need / 1e9:.2g} GB, above the {POWERS_BUDGET / 1e9:g} GB budget")
     d = erdos_delta()
     return _run_mixed(fam, x, [lam**t for t in range(1, T + 1)], [1] * T, iv,
                       f"mixed-geom:x={x}:lambda={lam}:T={T}",

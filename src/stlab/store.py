@@ -2,9 +2,12 @@
 
 Line 1 is `# stlab-cache v1 family=<hex16>`; every other line is `p,t,a` in
 decimal.  Readers load the whole file; the single writer appends new rows in
-ascending (p, t) order while holding an advisory lock.  An unterminated final
-line is the torn tail of an interrupted append: readers skip it and the next
-writer truncates it under the lock.
+ascending (p, t) order while holding an advisory lock.  A line ends at a CR,
+an LF or a CRLF, as text mode reads line ends, for the readers and the
+writer alike.  An unterminated final line is the torn tail of an interrupted
+append: readers skip it and the next writer truncates it under the lock,
+after it has checked, under the same lock, that a file it did not create
+holds this family's header.
 
 In memory the rows of each prime are a sorted array of t with the matching
 traces, so one prime's parameters are looked up and stored with a few numpy
@@ -23,9 +26,10 @@ three int64 fields, or a failed check, sends the file through the exact
 line parser instead, which names the bad line: it reads the file again,
 reads its line ends as the first read did and takes the same n lines.
 Every read sees the same n lines: the single writer only appends, under its
-lock, and truncates only a torn tail, which lies past the last newline of
-any read.  A flush formats the int64 rows `_SLICE` at a time and writes
-the pieces in order, so it holds the formatted rows and one piece's work.
+lock, and truncates only a torn tail, which lies past the last line end of
+any read.  A flush formats each prime's rows `_SLICE` at a time, one bytes
+%-format of Python ints per piece whatever the dtype of t, and writes each
+piece under its lock as it is made, so it holds one piece and its work.
 """
 
 from __future__ import annotations
@@ -35,6 +39,7 @@ import os
 import re
 import threading
 import warnings
+from collections.abc import Iterator
 
 import numpy as np
 
@@ -44,7 +49,6 @@ from .traces import TraceRecord, hasse_limit, param_array
 
 _MAGIC = "# stlab-cache v1 family="
 _I64 = 1 << 63
-_POW10 = 10 ** np.arange(20, dtype=np.uint64)
 _SLICE = 4096  # rows per formatted piece of a flush
 # numpy's reader opens a path by its suffix (a cache named "x.gz" would be
 # read as gzip), so such a cache goes to the line parser; and it takes a
@@ -118,21 +122,9 @@ class TraceCache:
     def _load(self):
         if not os.path.exists(self.path):
             return
-        data = _read(self.path)
-        if not data.isascii():
-            line = data.count(b"\n", 0, re.search(rb"[\x80-\xff]", data).start()) + 1
-            raise CacheError(f"{self.path}:{line}: a byte that is not ASCII")
-        data = _text_newlines(data)
-        end = data.find(b"\n")  # of the header
-        if end < 0 and (_MAGIC + self.fingerprint).encode("ascii").startswith(data):
-            return  # empty, or torn inside the first header write
-        if not data.startswith(_MAGIC.encode("ascii")):
-            raise CacheError(f"{self.path}: not a trace cache (bad header)")
-        fp = data[len(_MAGIC):end if end >= 0 else len(data)].decode("ascii")
-        if fp != self.fingerprint:
-            raise CacheError(
-                f"{self.path}: cache belongs to family {fp}, expected {self.fingerprint}"
-            )
+        data, end = self._header(_read(self.path))
+        if end < 0:
+            return
         stop = data.rfind(b"\n") + 1  # without the torn tail
         n = data.count(b"\n", end + 1, stop)
         # numpy reads the separators 0x1c-0x1f as whitespace; int() refuses them
@@ -143,6 +135,27 @@ class TraceCache:
             body = _text_newlines(_read(self.path))[end + 1:stop].decode("ascii")
             rows = _rows_of(_parse_lines(self.path, body))
         self._rows = rows
+
+    def _header(self, data: bytes) -> tuple[bytes, int]:
+        """data, the file's first bytes, with its line ends read as text mode
+        reads them, and the end of its header line: -1 when data is empty or
+        torn inside the first header write.  A CacheError when data is not
+        ASCII or not the header of this family's cache."""
+        if not data.isascii():
+            line = data.count(b"\n", 0, re.search(rb"[\x80-\xff]", data).start()) + 1
+            raise CacheError(f"{self.path}:{line}: a byte that is not ASCII")
+        data = _text_newlines(data)
+        end = data.find(b"\n")
+        if end < 0 and (_MAGIC + self.fingerprint).encode("ascii").startswith(data):
+            return data, -1
+        if not data.startswith(_MAGIC.encode("ascii")):
+            raise CacheError(f"{self.path}: not a trace cache (bad header)")
+        fp = data[len(_MAGIC):end if end >= 0 else len(data)].decode("ascii")
+        if fp != self.fingerprint:
+            raise CacheError(
+                f"{self.path}: cache belongs to family {fp}, expected {self.fingerprint}"
+            )
+        return data, end
 
     def _held(self, p: int, ts: np.ndarray):
         """(a, hit) over the stored and pending rows; hold the lock."""
@@ -195,20 +208,24 @@ class TraceCache:
         self.put_many(rec.p, [rec.t], [rec.a])
 
     def flush(self) -> None:
-        """Append pending rows (ascending (p, t)) under an advisory lock."""
+        """Append pending rows (ascending (p, t)) under an advisory lock.  A
+        file that holds another family's header, or none, is refused with the
+        load's CacheError and left as it was."""
         if not len(self._pending):
             return
-        pieces = _format_rows(self._pending)
         try:
             with open(self.path, "a+b") as fh:  # a+: pread needs read access
                 fd = fh.fileno()
                 fcntl.flock(fd, fcntl.LOCK_EX)
                 try:
-                    size = _complete_length(fd, os.fstat(fd).st_size)
+                    size = os.fstat(fd).st_size
+                    if size:  # another writer may have made the file since the load
+                        self._header(_first_line(fd, size))
+                    size = _complete_length(fd, size)
                     os.ftruncate(fd, size)
                     if size == 0:
                         fh.write((_MAGIC + self.fingerprint + "\n").encode("ascii"))
-                    fh.writelines(pieces)
+                    fh.writelines(_format_rows(self._pending))
                     fh.flush()
                 finally:
                     fcntl.flock(fd, fcntl.LOCK_UN)
@@ -348,85 +365,47 @@ def _rows_of(rows: dict[tuple[int, int], int]) -> _Rows:
     return out
 
 
-def _format_rows(rows: _Rows) -> list[bytes | np.ndarray]:
+def _format_rows(rows: _Rows) -> Iterator[bytes]:
     """The lines `p,t,a` of `rows` in ascending (p, t), as f"{p},{t},{a}"
-    writes them, in pieces to be written in order.  Runs of primes whose rows
-    are all int64 are formatted with numpy, _SLICE rows at a time; the
-    rows of every other prime are spliced in at their prime."""
-    pieces, run = [], []
+    writes them, one piece per _SLICE rows of a prime, made as the writer
+    asks for it.  int64 and exact-int t format alike: each piece is one
+    bytes %-format of Python ints."""
     for q in sorted(rows.by_p):
         ts, a = rows.by_p[q]
-        # stored p are >= 0, since the Hasse check refuses every row at p < 0
-        if ts.dtype == np.int64 and q < _I64:
-            run.append((q, ts, a))
-            continue
-        pieces += _format_run(run)
-        run = []
-        pieces.append("".join(f"{q},{t},{v}\n" for t, v in zip(ts.tolist(), a.tolist()))
-                      .encode("ascii"))
-    return pieces + _format_run(run)
-
-
-def _format_run(run: list) -> list[np.ndarray]:
-    """The lines of a run of int64 primes (q, ts, a), one piece per _SLICE
-    rows; a piece may hold the rows of several primes."""
-    pieces, group, n = [], [], 0
-    for q, ts, a in run:
-        while len(ts):
-            k = min(_SLICE - n, len(ts))
-            group.append((q, ts[:k], a[:k]))
-            ts, a, n = ts[k:], a[k:], n + k
-            if n == _SLICE:
-                pieces.append(_group_lines(group))
-                group, n = [], 0
-    if group:
-        pieces.append(_group_lines(group))
-    return pieces
-
-
-def _group_lines(group: list) -> np.ndarray:
-    """The lines of the rows (q, ts, a) of `group`, in order."""
-    return _decimal_lines((np.repeat(np.array([q for q, _, _ in group], dtype=np.int64),
-                                     [len(ts) for _, ts, _ in group]),
-                           np.concatenate([ts for _, ts, _ in group]),
-                           np.concatenate([a for _, _, a in group])))
-
-
-def _decimal_lines(cols) -> np.ndarray:
-    """ASCII lines `c0,c1,...` of nonempty int64 columns, one digit position
-    at a time."""
-    fields = []
-    width = np.zeros(len(cols[0]), dtype=np.int64)
-    for c in cols:
-        neg = c < 0
-        mag = np.abs(c).astype(np.uint64)
-        ndig = np.maximum(np.searchsorted(_POW10, mag, side="right"), 1)
-        fields.append((neg, mag, ndig))
-        width += neg + ndig + 1  # the sign, the digits and a separator
-    ends = np.cumsum(width)
-    buf = np.full(int(ends[-1]), ord(","), dtype=np.uint8)
-    pos = ends - width
-    for neg, mag, ndig in fields:
-        buf[pos[neg]] = ord("-")
-        last = pos + neg + ndig - 1  # the units digit
-        for j in range(int(ndig.max())):
-            live = ndig > j
-            buf[last[live] - j] = (mag[live] // _POW10[j] % 10 + ord("0")).astype(np.uint8)
-        pos = last + 2
-    buf[ends - 1] = ord("\n")
-    return buf
+        line = b"%d,%%d,%%d\n" % q
+        for s in range(0, len(ts), _SLICE):
+            t = ts[s:s + _SLICE].tolist()
+            fields = [0] * (2 * len(t))
+            fields[::2], fields[1::2] = t, a[s:s + _SLICE].tolist()
+            yield line * len(t) % tuple(fields)
 
 
 def _complete_length(fd: int, size: int, chunk: int = 4096) -> int:
-    """Length of the file up to and including its last newline."""
+    """Length of the file up to and including its last line end, a CR or an
+    LF, as the loader reads line ends."""
     end = size
     while end > 0:
         start = max(0, end - chunk)
-        i = os.pread(fd, end - start, start).rfind(b"\n")
+        piece = os.pread(fd, end - start, start)
+        i = max(piece.rfind(b"\n"), piece.rfind(b"\r"))
         if i >= 0:
             return start + i + 1
         end = start
     return 0
+
+
+def _first_line(fd: int, size: int, chunk: int = 4096) -> bytes:
+    """The file's bytes up to and including its first line end, or all of them."""
+    head = b""
+    while len(head) < size:
+        piece = os.pread(fd, chunk, len(head))
+        if not piece:
+            break
+        head += piece
+        m = re.search(rb"[\r\n]", head)
+        if m:
+            return head[:m.end()]
+    return head
 
 
 def open_cache(path: str, fam: FamilyPoly) -> TraceCache:

@@ -813,13 +813,14 @@ def test_product_set_above_table_limit_refused_before_any_set(command, sets, mon
     *([*PRODUCT_COMMANDS[c], "--set-u", "1..2", "--set-v", "1..4194304"]
       for c in sorted(PRODUCT_COMMANDS)),
     ["angles", *FAM, "-p", "101", "--kind", "interval", "-M", "0", "-N", "8388608"],
-], ids=[*sorted(PRODUCT_COMMANDS), "interval"])
+    ["angles", *FAM, "-p", "101", "--kind", "geometric", "--lam", "2", "-T", "8388608"],
+], ids=[*sorted(PRODUCT_COMMANDS), "interval", "geometric"])
 def test_sizes_at_table_limit_reach_the_builder(argv, monkeypatch, capsys):
     # TABLE_LIMIT = 2**23 elements pass the refusal
     def stop(*args, **kwargs):
         raise ValueError("reached the builder")
 
-    for name in ("stlab.cli.product_residues", "stlab.cli.interval_params",
+    for name in ("stlab.cli.product_residues", "stlab.cli.interval_params", "stlab.cli.geometric",
                  "stlab.experiments.vertical_product", "stlab.experiments.mixed_product"):
         monkeypatch.setattr(name, stop)
     assert run(argv) == 1
@@ -829,6 +830,43 @@ def test_sizes_at_table_limit_reach_the_builder(argv, monkeypatch, capsys):
 def test_interval_above_table_limit_refused_before_the_set(monkeypatch, capsys):
     _refused_before(["angles", *FAM, "-p", "101", "--kind", "interval", "-M", "0",
                      "-N", "8388609"], ["stlab.cli.interval_params"], monkeypatch, capsys)
+
+
+def test_geometric_above_table_limit_refused_before_the_set(monkeypatch, capsys):
+    _refused_before(["angles", *FAM, "-p", "101", "--kind", "geometric", "--lam", "2",
+                     "-T", "8388609"], ["stlab.cli.geometric"], monkeypatch, capsys)
+
+
+# lam^1 .. lam^T take about T^2 log2|lam| / 15 bytes; at lam = 2, T = 77459
+# is the largest T within the 0.4 GB budget, and at lam = 10**300 it is 2453
+@pytest.mark.parametrize("lam, T, refused", [
+    ("2", "77459", False), ("2", "77460", True), ("-2", "77460", True),
+    (str(10**300), "2453", False), (str(10**300), "2454", True),
+    ("3", "1" + "0" * 400, True),
+], ids=["lam2-at", "lam2-past", "lam-2-past", "lam1e300-at", "lam1e300-past", "T1e400"])
+def test_geometric_powers_past_the_budget_refused_before_any_power(lam, T, refused,
+                                                                  monkeypatch, capsys):
+    # erdos_delta is the last call before mixed_geometric builds the powers,
+    # so neither side of the limit builds them here
+    def stop(*args, **kwargs):
+        raise ValueError("reached the powers")
+
+    monkeypatch.setattr("stlab.experiments.erdos_delta", stop)
+    monkeypatch.setattr("stlab.experiments._run_mixed", stop)
+    tracemalloc.start()
+    try:
+        code = run(["experiment", "mixed-geometric", *FAM, "-x", "100", "--lam", lam, "-T", T])
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    err = capsys.readouterr().err
+    assert peak < 4 << 20
+    if not refused:
+        assert (code, err) == (1, "error: reached the powers\n")
+        return
+    assert code == 3
+    assert re.fullmatch(rf"refused: T={T} powers of a {abs(int(lam)).bit_length()}-bit lambda "
+                        r"need about \S+ GB, above the 0.4 GB budget\n", err)
 
 
 @pytest.mark.parametrize("flag", ["--set-u", "--set-v"])

@@ -59,6 +59,9 @@ def test_bench_pairs_one_smoke_run_per_side(tmp_path):
     assert set(bench["change_wins"].values()) <= {0, 1}
     # one base run has no spread to compare a difference with
     assert bench["resolved"] == {name: False for name in names}
+    base, change = (bench["runs"][side][0]["metrics"] for side in ("base", "change"))
+    assert bench["change_over_base"] == pytest.approx(
+        {name: change[name] / base[name] - 1 for name in names})
 
 
 def _bench_module():
@@ -133,3 +136,9 @@ def test_bench_resolves_medians_apart_by_more_than_the_base_spread(tmp_path, mon
         {"median": 1.15, "q1": 1.075, "q3": 1.225})
     assert entry["resolved"] == {name: name != "peak_rss_mb" for name in names}
     assert entry["change_wins"] == {name: 0 if name == "peak_rss_mb" else 4 for name in names}
+    # the change's median over the base's, minus 1, next to the declared bound:
+    # 0.5 / 1.15 - 1 for the times, 1.16 / 1.15 - 1 for peak_rss_mb
+    assert entry["change_over_base"] == pytest.approx(
+        {name: 0.01 / 1.15 if name == "peak_rss_mb" else 0.5 / 1.15 - 1 for name in names})
+    spec = json.loads((ROOT / "BENCHMARK.json").read_text())["end_to_end"]
+    assert entry["bound"] == {m["name"]: m["bound"] for m in spec}

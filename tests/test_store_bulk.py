@@ -14,7 +14,7 @@ import pytest
 from stlab import store
 from stlab.cli import run
 from stlab.errors import CacheError, NondegeneracyError
-from stlab.family import fingerprint_hex, reduce_at
+from stlab.family import build_family, fingerprint_hex, reduce_at
 from stlab.finite_field import ResidueTable, is_prime
 from stlab.store import _parse_lines, _rows_of, open_cache
 from stlab.traces import batch_traces, hasse_limit, trace
@@ -221,6 +221,56 @@ def test_torn_tail_and_non_ascii(fam_zz, tmp_path):
             open_cache(str(path), fam_zz)
 
 
+@pytest.mark.parametrize("ends", [["\r"], ["\r\n"], ["\n", "\r", "\r\n", "\r"]],
+                         ids=["cr", "crlf", "mixed"])
+@pytest.mark.parametrize("tail", ["", "101,7"], ids=["whole", "torn"])
+def test_flush_keeps_every_row_whatever_the_line_ends(fam_zz, tmp_path, ends, tail):
+    # the loader reads a CR, an LF or a CRLF as a line end, and so must the
+    # flush that cuts the torn tail before it appends
+    path = tmp_path / "c.txt"
+    rows = {(5, 1): 2, (7, 1): 3, (7, 2): -1, (101, 3): 0, (101, 4): -20}
+    lines = [f"# stlab-cache v1 family={fingerprint_hex(fam_zz)}",
+             *(f"{p},{t},{a}" for (p, t), a in rows.items())]
+    text = "".join(line + ends[i % len(ends)] for i, line in enumerate(lines))
+    path.write_bytes((text + tail).encode("ascii"))
+    with open_cache(str(path), fam_zz) as cache:
+        assert sorted(cache.keys()) == sorted(rows)
+        cache.put_many(13, [1], [2])
+    assert path.read_bytes() == (text + "13,1,2\n").encode("ascii")
+    cache = open_cache(str(path), fam_zz)
+    assert sorted(cache.keys()) == sorted({**rows, (13, 1): 2})
+    assert all(cache.get(p, t) == a for (p, t), a in rows.items())
+
+
+def test_flush_checks_the_header_under_its_lock(fam_zz, tmp_path):
+    # the cache was opened on a missing file; before its flush another
+    # writer made the file.  Rows go after this family's header only: any
+    # other file is refused with the load's own error and left as it was
+    other = build_family([1], [0, 1])
+    header = f"# stlab-cache v1 family={fingerprint_hex(fam_zz)}"
+    foreign = f"# stlab-cache v1 family={fingerprint_hex(other)}"
+    # the file made, and what precedes the appended row when it is kept
+    for i, (made, kept) in enumerate([
+            (foreign + "\n11,1,2\n", None), (foreign + "\r11,1,2\r", None),
+            (foreign[:-3], None), ("p,t,a\n5,1,2\n", None), (header[:-1] + "\xe9\n", None),
+            (header + "\r5,1,2\r", header + "\r5,1,2\r"), (header[:9], header + "\n")]):
+        path = tmp_path / f"c{i}.txt"
+        cache = open_cache(str(path), fam_zz)
+        cache.put_many(11, [1], [-4])
+        path.write_bytes(made.encode("latin-1"))
+        if kept is not None:
+            cache.close()
+            assert path.read_bytes() == (kept + "11,1,-4\n").encode("ascii")
+            assert open_cache(str(path), fam_zz).get(11, 1) == -4
+            continue
+        with pytest.raises(CacheError) as err:
+            open_cache(str(path), fam_zz)
+        with pytest.raises(CacheError) as refused:
+            cache.close()
+        assert str(refused.value) == str(err.value)
+        assert path.read_bytes() == made.encode("latin-1")
+
+
 def test_int64_edges_load_without_the_line_parser(fam_zz, tmp_path, monkeypatch):
     # 19-digit fields, the powers of 2 in geometric progressions among them
     def refuse(*args):
@@ -378,8 +428,9 @@ def test_threads_share_one_cache(fam_zz, tmp_path):
 
 def test_cache_load_and_flush_traced_peak(fam_zz, tmp_path):
     # 2 * 10**5 short rows over 200 primes (a file of 13 bytes per row).  A
-    # flush holds the formatted rows and one piece of temporaries (16 bytes
-    # per row).  A load drops the file's bytes before numpy reads the rows,
+    # flush writes each formatted piece as it is made, so it holds one piece
+    # and its temporaries (under 1 byte per row here; holding every
+    # formatted row took 14).  A load drops the file's bytes before numpy reads the rows,
     # and each prime's t and a are views of numpy's n x 3 int64 block, so it
     # holds that block and the checks' temporaries (about 28 bytes per row).
     # Holding the file and copying each prime's rows out took 56; formatting
