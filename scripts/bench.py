@@ -1,14 +1,17 @@
 #!/usr/bin/env python3
-"""Paired benchmark of two checkouts over one perfbench workload.
+"""Paired benchmark of two checkouts over perfbench workloads.
 
     python3 scripts/bench.py --base ../parent --change . --workload sums \\
-        --pairs 10 --out BENCH.json
+        --workload vertical --pairs 10 --out BENCH.json
 
 Runs `perfbench/run.py --trace 0` in each checkout, alternating which side
-goes first, with seed = pair index and run.py's own run length.  The JSON
-file at --out maps each workload to its entry, so one file collects several
-invocations; an entry holds every run's metrics, `correct` and `failed`,
-per side the median and quartiles of each end-to-end metric, the number of
+goes first, with seed = pair index and run.py's own run length.  Each
+--workload (repeat it for several) gets --pairs pairs, one workload after
+the other.  The JSON file at --out maps each workload to its entry, written
+as each workload ends, so one file collects one invocation's workloads and
+those of earlier invocations; an entry holds every run's metrics, `correct`
+and `failed`, per side the median and quartiles of each end-to-end metric,
+the number of
 pairs the change wins per metric (by the direction in the change's
 BENCHMARK.json), whether each metric is resolved (the two medians differ by
 more than the base side's interquartile range, which needs at least two
@@ -26,9 +29,10 @@ Every run reads its bytecode from one PYTHONPYCACHEPREFIX directory made for
 the invocation and removed afterwards, never from a checkout's own
 __pycache__ nor the caller's prefix, so a checkout that already holds
 bytecode does not start its set-up probe sooner than one that does not.
-Before the first timed run, one untimed `--smoke` run per side compiles the
-standard library, numpy and that side's sources into the prefix; the timed
-runs get PYTHONDONTWRITEBYTECODE=1, so they read it without writing to it.
+Before the first timed run of a workload, one untimed `--smoke` run of it
+per side compiles the standard library, numpy and that side's sources into
+the prefix; the timed runs get PYTHONDONTWRITEBYTECODE=1, so they read it
+without writing to it.
 """
 
 import argparse
@@ -65,35 +69,20 @@ def summary(values: list[float]) -> dict:
     return {"median": med, "q1": q1, "q3": q3}
 
 
-def main(argv=None) -> int:
-    ap = argparse.ArgumentParser(description=__doc__.split("\n")[0])
-    ap.add_argument("--base", type=Path, required=True, help="checkout of the parent")
-    ap.add_argument("--change", type=Path, required=True, help="checkout of the change")
-    ap.add_argument("--workload", required=True)
-    ap.add_argument("--pairs", type=int, default=10)
-    ap.add_argument("--smoke", action="store_true", help="perfbench's reduced sizes")
-    ap.add_argument("--out", type=Path, required=True)
-    args = ap.parse_args(argv)
-    if args.pairs < 1:
-        ap.error("--pairs must be >= 1")
-
-    spec = json.loads((args.change / "BENCHMARK.json").read_text())
+def bench_workload(args, workload: str, warm: dict, timed: dict, spec: dict) -> dict:
+    """The --pairs alternating pairs of one workload, after one untimed run per side."""
     lower = {m["name"]: m["better"] == "lower" for m in spec["end_to_end"]}
     bound = {m["name"]: m["bound"] for m in spec["end_to_end"]}
     runs = {side: [] for side in SIDES}
-    with tempfile.TemporaryDirectory(prefix="bench-pycache-") as pycache:
-        warm = {**os.environ, "PYTHONPYCACHEPREFIX": pycache}
-        warm.pop("PYTHONDONTWRITEBYTECODE", None)
-        for side in SIDES:  # untimed runs that write the bytecode
-            run_once(getattr(args, side), args.workload, 0, True, warm)
-        timed = {**warm, "PYTHONDONTWRITEBYTECODE": "1"}
-        for pair in range(args.pairs):
-            order = SIDES if pair % 2 == 0 else SIDES[::-1]
-            for side in order:
-                checkout = getattr(args, side)
-                runs[side].append(run_once(checkout, args.workload, pair, args.smoke, timed))
-                print(f"pair {pair} {side}: {runs[side][-1].get('metrics', 'no result')}",
-                      file=sys.stderr)
+    for side in SIDES:  # untimed runs that write the bytecode
+        run_once(getattr(args, side), workload, 0, True, warm)
+    for pair in range(args.pairs):
+        order = SIDES if pair % 2 == 0 else SIDES[::-1]
+        for side in order:
+            checkout = getattr(args, side)
+            runs[side].append(run_once(checkout, workload, pair, args.smoke, timed))
+            print(f"{workload} pair {pair} {side}: {runs[side][-1].get('metrics', 'no result')}",
+                  file=sys.stderr)
 
     ok = all(r.get("correct") for side in SIDES for r in runs[side])
     stats = {side: {} for side in SIDES}
@@ -111,8 +100,7 @@ def main(argv=None) -> int:
                           and abs(change["median"] - base["median"]) > base["q3"] - base["q1"])
         over[name] = (change["median"] / base["median"] - 1
                       if base and change and base["median"] else None)
-    out = json.loads(args.out.read_text()) if args.out.exists() else {}
-    out[args.workload] = {
+    return {
         "pairs": args.pairs, "smoke": args.smoke, "correct": ok,
         "machine": {side: next((r["machine"] for r in runs[side] if "machine" in r), None)
                     for side in SIDES},
@@ -121,7 +109,32 @@ def main(argv=None) -> int:
         "runs": {side: [{k: v for k, v in r.items() if k != "machine"} for r in runs[side]]
                  for side in SIDES},
     }
-    args.out.write_text(json.dumps(out, indent=1, sort_keys=True) + "\n")
+
+
+def main(argv=None) -> int:
+    ap = argparse.ArgumentParser(description=__doc__.split("\n")[0])
+    ap.add_argument("--base", type=Path, required=True, help="checkout of the parent")
+    ap.add_argument("--change", type=Path, required=True, help="checkout of the change")
+    ap.add_argument("--workload", action="append", required=True,
+                    help="a perfbench workload; repeat for several")
+    ap.add_argument("--pairs", type=int, default=10)
+    ap.add_argument("--smoke", action="store_true", help="perfbench's reduced sizes")
+    ap.add_argument("--out", type=Path, required=True)
+    args = ap.parse_args(argv)
+    if args.pairs < 1:
+        ap.error("--pairs must be >= 1")
+
+    spec = json.loads((args.change / "BENCHMARK.json").read_text())
+    out = json.loads(args.out.read_text()) if args.out.exists() else {}
+    ok = True
+    with tempfile.TemporaryDirectory(prefix="bench-pycache-") as pycache:
+        warm = {**os.environ, "PYTHONPYCACHEPREFIX": pycache}
+        warm.pop("PYTHONDONTWRITEBYTECODE", None)
+        timed = {**warm, "PYTHONDONTWRITEBYTECODE": "1"}
+        for workload in dict.fromkeys(args.workload):  # a repeated name runs once
+            out[workload] = bench_workload(args, workload, warm, timed, spec)
+            ok = ok and out[workload]["correct"]
+            args.out.write_text(json.dumps(out, indent=1, sort_keys=True) + "\n")
     return 0 if ok else 1
 
 

@@ -38,17 +38,20 @@ from .traces import acos_once, batch_traces, param_array, residue_angles, residu
 PRIME2_NOTE = "bracket omits the L^(c/log log L) factor; c is not effective"
 
 # L of the sums over t <= L.  Over the interpreter's own, a run peaks at about
-# 19 bytes per unit of L for mobius_sums and 18 for vaughan_decompose (psi and
-# at most one more float64 array over [0, L], besides the int8 Mobius table)
-# and 5 for prime_sym_sum (the prime mask, the primes as int64 and their
-# angles), by ru_maxrss at L = 10**6 and 4 * 10**6 with p = 1009: about 0.38
-# and 0.5 GB at the limits.  Those two figures hold at the default cuts.
-# _type_ii's arrays over M < m <= L / K and k <= L / (M + 1) add up to about
-# 20 bytes per unit of L / K and 32 per unit of L / (int(M) + 1) (ru_maxrss
-# at the same L and p, K and M from 1 to 10 and the default): 46 bytes per
-# unit of L at K = M = 1.  _cuts refuses the cuts that would take a run of
-# either sum past IDENTITY_BUDGET bytes; the default cuts at IDENTITY_LIMIT
-# need 0.384 GB.
+# 11 bytes per unit of L for mobius_sums and 12 for vaughan_decompose (psi,
+# their one float64 array over [0, L], the int8 Mobius table and the von
+# Mangoldt support) and 5 for prime_sym_sum (the prime mask, the primes as
+# int64 and their angles), by ru_maxrss at L = 10**6 and 4 * 10**6 with
+# p = 1009: about 0.24 and 0.5 GB at the limits.  Those two figures hold at
+# the default cuts.  _type_ii's arrays over M < m <= L / K and
+# k <= L / (M + 1) add up to about 20 bytes per unit of L / K and 32 per unit
+# of L / (int(M) + 1), and vaughan_decompose's dense lambda over [0, L / K]
+# 8 more per unit of L / K (ru_maxrss at the same L and p, K and M from 1 to
+# 10 and the default): 44-46 bytes per unit of L at K = M = 1.  _cuts
+# charges 19 bytes per unit of L for the rest, the figure from when each sum
+# held a second float64 array over [0, L], so it errs on the safe side, and
+# refuses the cuts that would take a run of either sum past IDENTITY_BUDGET
+# bytes; the default cuts at IDENTITY_LIMIT are charged 0.384 GB.
 IDENTITY_LIMIT = 2 * 10**7
 IDENTITY_BUDGET = 4 * 10**8
 PRIME_SUM_LIMIT = 10**8
@@ -495,6 +498,31 @@ def _mobius_window_coeffs(mu, K: float, kmax: int) -> np.ndarray:
     return c
 
 
+# Entries of one suffix-sum chunk in vaughan_decompose's sigma3.
+_SUFFIX_CHUNK = 1 << 16
+
+
+def _suffix_sums(arr: np.ndarray, chunk: int = _SUFFIX_CHUNK):
+    """np.cumsum(arr[::-1]), the suffix sums last first, one chunk at a time:
+    each chunk after the first is summed behind the running sum carried from
+    the last, and np.cumsum adds in sequence, so every chunk holds the bits
+    of one np.cumsum over the whole.  Each chunk is a view of one reused
+    buffer, which the caller may overwrite before asking for the next."""
+    rev = arr[::-1]
+    buf = np.empty(min(rev.size, chunk) + 1)
+    for i in range(0, rev.size, chunk):
+        piece = rev[i:i + chunk]
+        run = buf[1:piece.size + 1]
+        if i:
+            run[...] = piece
+            np.cumsum(buf[:piece.size + 1], out=buf[:piece.size + 1])  # behind buf[0]
+        else:
+            np.cumsum(piece, out=run)
+        carry = run[-1]
+        yield run
+        buf[0] = carry
+
+
 def _cuts(L: int, K: float | None, M: float | None) -> tuple[float, float]:
     """Validated cut parameters; K and M default to L^(1/3)."""
     if L < 2:
@@ -555,14 +583,9 @@ def vaughan_decompose(fam: FamilyPoly, p: int, L: int, K: float | None = None,
     psi = _psi_of_t(fam, p, L, n, psi_fn)
 
     Mi, Ki = int(M), int(K)
-    sigma1 = abs(float(np.sum(tables.lam[1:Mi + 1] * psi[1:Mi + 1])))
-    sigma4 = _type_ii(tables.lam, tables.mu, psi, L, K, M)
-
-    # nothing below reads the sieve tables but the direct sum, so lambda * psi
-    # is written over lambda and both tables go before the passes over psi
-    lam = tables.lam
-    del tables
-    direct = float(np.sum(np.multiply(lam, psi, out=lam)[1:L + 1]))
+    lam = tables.lam_upto(max(Mi, int(L / K)))  # what sigma1 and sigma4 read
+    sigma1 = abs(float(np.sum(lam[1:Mi + 1] * psi[1:Mi + 1])))
+    sigma4 = _type_ii(lam, tables.mu, psi, L, K, M)
     del lam
 
     km = int(K * M)
@@ -571,13 +594,18 @@ def vaughan_decompose(fam: FamilyPoly, p: int, L: int, K: float | None = None,
         sigma2 += abs(float(psi[k::k].sum()))
 
     sigma3 = 0.0
-    buf = np.empty(L)  # one buffer for every k: psi[k::k] has at most L entries
     for k in range(1, Ki + 1):
-        arr = psi[k::k]
-        if arr.size == 0:
-            continue
-        suffix = np.cumsum(arr[::-1], out=buf[:arr.size])  # the suffix sums, last first
-        sigma3 += float(np.abs(suffix, out=suffix).max())
+        sigma3 += float(np.max([np.abs(s, out=s).max() for s in _suffix_sums(psi[k::k])]))
+
+    # The direct sum, written over psi, which nothing reads after it: lam * psi
+    # is log q * psi at the prime powers and 0.0 * psi elsewhere, signed zeros
+    # and all, so its np.sum is that of the dense product.
+    small = tables.logs * psi[tables.powers]
+    big = tables.big_logs * psi[tables.big]
+    psi *= 0.0
+    psi[tables.powers] = small
+    psi[tables.big] = big
+    direct = float(np.sum(psi[1:L + 1]))
 
     bracket = L / math.sqrt(p) + L ** (5.0 / 6.0) + math.sqrt(L * p)
     return VaughanReport(p, L, K, M, n, direct, sigma1, sigma2, sigma3, sigma4,
@@ -613,13 +641,6 @@ def mobius_sums(fam: FamilyPoly, p: int, L: int, n: int, K: float | None = None,
     mu = sieve_arith(L).mu  # lambda goes at once
     psi = _psi_of_t(fam, p, L, n)
 
-    # mu stays int8: a weight 0 or +-1 times a float64 is the same product as
-    # in float64, and one buffer holds each L-long product in turn
-    prod = np.empty(L)
-    abs_mu = float(np.sum(np.multiply(np.abs(mu[1:]), psi[1:], out=prod)))
-    mu_sum = float(np.sum(np.multiply(mu[1:], psi[1:], out=prod)))
-    del prod
-
     cut = int(max(K, M))
     omega1 = abs(float(np.sum(mu[1:cut + 1] * psi[1:cut + 1])))
 
@@ -629,5 +650,13 @@ def mobius_sums(fam: FamilyPoly, p: int, L: int, n: int, K: float | None = None,
         omega2 += tau[k] * abs(float(psi[k::k].sum()))
 
     omega4 = _type_ii(mu, mu, psi, L, K, M)
+
+    # The two weighted sums, written over psi, which nothing reads after them.
+    # mu stays int8: a weight 0 or +-1 times a float64 is the same product as
+    # in float64.  mu * (mu * psi) is |mu| * psi bit for bit: +-1 twice gives
+    # psi back, and 0 * (0 * psi) keeps the sign of zero of 0 * psi.
+    rest = psi[1:]
+    mu_sum = float(np.sum(np.multiply(mu[1:], rest, out=rest)))
+    abs_mu = float(np.sum(np.multiply(mu[1:], rest, out=rest)))
 
     return MobiusReport(p, L, n, abs_mu, mu_sum, omega1, omega2, 0.0, omega4)

@@ -14,8 +14,11 @@ import numpy as np
 
 from .errors import RefusedError
 
-# Witness set making Miller-Rabin deterministic below 3.3 * 10**24.
-_MR_WITNESSES = (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37)
+# The first 13 primes: Miller-Rabin to these bases is deterministic below
+# psi_13 = 3,317,044,064,679,887,385,961,981, the least strong pseudoprime to
+# all of them (Sorenson-Webster).  The first 12 alone pass the composite
+# psi_12 = 318,665,857,834,031,151,167,461 = 399165290221 * 798330580441.
+_MR_WITNESSES = (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37, 41)
 
 # Every trace path builds a ResidueTable first, so this one cap refuses a prime
 # before any O(p) array exists.  Tracing at one prime peaks at about 60 bytes
@@ -26,7 +29,7 @@ TABLE_LIMIT = 1 << 23
 
 
 def is_prime(n: int) -> bool:
-    """Deterministic Miller-Rabin for n < 3.3e24."""
+    """Deterministic Miller-Rabin for n < 3,317,044,064,679,887,385,961,981."""
     if n < 2:
         return False
     for q in _MR_WITNESSES:

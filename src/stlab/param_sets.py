@@ -2,10 +2,13 @@
 
 Generators: multiplicative subgroups of F_p*, product multisets U*V, primes
 up to L, geometric progressions lambda^t, plain intervals.  One Eratosthenes
-prime mask underlies the primes, the von Mangoldt and Mobius tables and
-divisor_window_count.  order_sum, the other order statistic of the
-geometric-progression experiments, reads its primes and the factorization of
-each p - 1 from one least-prime-factor table.
+prime mask underlies the primes, the Mobius table, the von Mangoldt function
+and divisor_window_count.  sieve_arith keeps von Mangoldt at its prime
+powers with their log q, and no float64 array over [0, L]: it peaks at about
+3.5 bytes per unit of L traced at L = 10**6, and ArithTables.lam_upto fills
+the dense table over a prefix where a sum needs one.  order_sum, the other
+order statistic of the geometric-progression experiments, reads its primes
+and the factorization of each p - 1 from one least-prime-factor table.
 """
 
 from __future__ import annotations
@@ -101,10 +104,31 @@ def interval_params(M: int, N: int) -> ParamSet:
 
 @dataclass(frozen=True)
 class ArithTables:
-    """lam = von Mangoldt, mu = Mobius."""
+    """mu = Mobius over [0, L]; von Mangoldt by its support.
 
-    lam: np.ndarray
+    lam(t) = log q at the prime powers t = q**k <= L and 0 elsewhere.  The
+    powers of the primes q <= isqrt(L) are `powers`, with their log q in
+    `logs`; a prime q above isqrt(L) has q**2 > L, so those primes are `big`
+    alone (a view of the sieve's ascending primes), with log q in `big_logs`.
+    lam_upto fills the dense table over a prefix.
+    """
+
     mu: np.ndarray
+    powers: np.ndarray
+    logs: np.ndarray
+    big: np.ndarray
+    big_logs: np.ndarray
+
+    def lam_upto(self, n: int) -> np.ndarray:
+        """The dense von Mangoldt table over [0, n], for n <= L."""
+        if n >= self.mu.size:
+            raise ValueError(f"n={n} is past L={self.mu.size - 1}")
+        lam = np.zeros(n + 1)
+        inside = self.powers <= n
+        lam[self.powers[inside]] = self.logs[inside]
+        end = int(np.searchsorted(self.big, n, side="right"))
+        lam[self.big[:end]] = self.big_logs[:end]
+        return lam
 
 
 # Big primes whose logs one Python list holds at a time in sieve_arith.
@@ -112,15 +136,15 @@ _LOG_CHUNK = 1 << 14
 
 
 def sieve_arith(L: int) -> ArithTables:
-    """Fill the von Mangoldt and Mobius tables for 1 <= t <= L."""
+    """The Mobius table for 0 <= t <= L and the von Mangoldt support."""
     if L < 2:
         raise ValueError("L must be >= 2")
-    primes = prime_array(L)  # first, so the prime mask is gone before the tables exist
-    lam = np.zeros(L + 1, dtype=np.float64)
+    primes = prime_array(L)  # first, so the prime mask is gone before mu exists
     # mu(t) = (-1)^omega(t) on squarefree t, else 0: each prime q | t flips the
     # sign once, and q**2 | t zeroes it for good; mu(0) = 0
     mu = np.ones(L + 1, dtype=np.int8)
     n_small = int(np.searchsorted(primes, math.isqrt(L), side="right"))
+    powers, logs = [], []
     for q in primes[:n_small].tolist():
         sign = mu[q::q]
         np.negative(sign, out=sign)
@@ -128,7 +152,8 @@ def sieve_arith(L: int) -> ArithTables:
         logq = math.log(q)
         qk = q
         while qk <= L:
-            lam[qk] = logq
+            powers.append(qk)
+            logs.append(logq)
             qk *= q
     # A prime q > isqrt(L) has q**2 > L: lam is log q at q alone (math.log of
     # the int q; np.log may differ in the last bit) and mu only flips sign.
@@ -136,15 +161,15 @@ def sieve_arith(L: int) -> ArithTables:
     # distinct, so one scatter per m flips them all.  Bertrand puts a big
     # prime in (isqrt(L), L], so big is never empty.
     big = primes[n_small:]
+    big_logs = np.empty(big.size)
     for i in range(0, big.size, _LOG_CHUNK):
-        chunk = big[i:i + _LOG_CHUNK]
-        lam[chunk] = list(map(math.log, chunk.tolist()))
+        big_logs[i:i + _LOG_CHUNK] = list(map(math.log, big[i:i + _LOG_CHUNK].tolist()))
     m = np.arange(1, L // int(big[0]) + 1)
     ends = np.searchsorted(big, L // m, side="right").tolist()
     for k, end in zip(m.tolist(), ends):
         mu[k * big[:end]] *= -1
     mu[0] = 0
-    return ArithTables(lam, mu)
+    return ArithTables(mu, np.array(powers, dtype=np.int64), np.array(logs), big, big_logs)
 
 
 def divisor_counts(n: int) -> np.ndarray:

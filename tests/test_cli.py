@@ -687,7 +687,12 @@ def test_vertical_product_empty_set_exit_1(sets, capsys):
     assert captured.err == "error: U and V must be non-empty\n"
 
 
-@pytest.mark.parametrize("p", ["2", "3", "9"])
+# the least strong pseudoprime to every base 2..37: composite, and above
+# TABLE_LIMIT, so a wrong primality verdict would surface as exit 3
+PSI_12 = "318665857834031151167461"
+
+
+@pytest.mark.parametrize("p", ["2", "3", "9", PSI_12])
 @pytest.mark.parametrize("words", [w for w, extra in EVERY_COMMAND.items() if "-p" in extra])
 def test_one_message_for_a_bad_prime(words, p, capsys):
     extra = list(EVERY_COMMAND[words])

@@ -642,11 +642,12 @@ def test_psi_of_t_tiles_one_period(fam_zz, p):
 @pytest.mark.parametrize("L", SUMS_L[:-1])
 def test_type_ii_matches_the_per_row_loop(fam_zz, L):
     tables = sieve_arith(L)
+    lam = tables.lam_upto(L)
     psis = [ex._psi_of_t(fam_zz, 1009, L, n) for n in (1, 2, 5)]
     psis.append(ex._psi_of_t(fam_zz, 1009, L, 1, psi_fn=lambda t: math.sin(t) / t))
     for K, M in _cut_choices(L):
         K, M = ex._cuts(L, K, M)
-        for weights in (tables.lam, tables.mu, tables.mu.astype(np.float64)):
+        for weights in (lam, tables.mu, tables.mu.astype(np.float64)):
             for psi in psis:
                 want = type_ii_per_row(weights, tables.mu, psi, L, K, M)
                 assert ex._type_ii(weights, tables.mu, psi, L, K, M) == want, (L, K, M)
@@ -673,11 +674,12 @@ def test_identity_sums_match_the_per_row_loops(fam_zz, L, monkeypatch):
     assert reports[0] == reports[1]
 
 
-@pytest.mark.parametrize("what, bound", [("sieve", 12), ("vaughan", 20), ("mobius", 20)])
+@pytest.mark.parametrize("what, bound", [("sieve", 6), ("vaughan", 12), ("mobius", 11)])
 def test_identity_sums_traced_peak(fam_zz, what, bound):
-    # at L = 10**6 the sieve holds its two tables and the primes, and each
-    # sum holds psi and at most one more L-long float64 array (lambda, or
-    # one product buffer), besides the int8 mu
+    # at L = 10**6 the sieve holds the int8 mu, the primes and the logs of
+    # the big ones (no L-long float64 array), and each sum holds psi as its
+    # one L-long float64 array, besides mu: another such array would take
+    # either sum past its bound
     L = 10**6
     call = {"sieve": lambda: sieve_arith(L),
             "vaughan": lambda: ex.vaughan_decompose(fam_zz, 1009, L),
@@ -690,6 +692,48 @@ def test_identity_sums_traced_peak(fam_zz, what, bound):
     finally:
         tracemalloc.stop()
     assert peak <= bound * L, peak / L
+
+
+def _signed_values(rng, n):
+    """n float64s of mixed signs and magnitudes, with runs of +0.0 and -0.0."""
+    x = rng.standard_normal(n) * 10.0 ** rng.integers(-6, 7, n)
+    x[rng.random(n) < 0.2] = 0.0
+    x[rng.random(n) < 0.2] = -0.0
+    return x
+
+
+def test_chunked_suffix_sums_match_one_cumsum():
+    # sigma3's suffix sums, one chunk at a time behind the carried sum,
+    # against one np.cumsum over the reversed array, byte for byte; lengths
+    # around one and two chunks, and strided views as psi[k::k] gives them
+    rng = np.random.default_rng(0)
+    chunk = 64
+    for n in (1, chunk - 1, chunk, chunk + 1, 2 * chunk + 1, 5 * chunk + 3):
+        for arr in (_signed_values(rng, n), _signed_values(rng, 3 * n)[2::3],
+                    np.full(n, -0.0)):
+            want = np.cumsum(arr[::-1])
+            got = np.concatenate([s.copy() for s in ex._suffix_sums(arr, chunk)])
+            assert got.tobytes() == want.tobytes(), n
+            # sigma3 takes each chunk's abs in place: the carry is unharmed
+            got = np.concatenate([np.abs(s, out=s).copy() for s in ex._suffix_sums(arr, chunk)])
+            assert got.tobytes() == np.abs(want).tobytes(), n
+    arr = _signed_values(rng, 3 * ex._SUFFIX_CHUNK + 5)
+    got = np.concatenate([s.copy() for s in ex._suffix_sums(arr)])
+    assert got.tobytes() == np.cumsum(arr[::-1]).tobytes()
+
+
+def test_mu_twice_is_abs_mu_bit_for_bit():
+    # mobius_sums multiplies psi by the int8 mu in place twice, once for
+    # mu_sum and once for abs_mu_sum: mu * (mu * psi) against |mu| * psi,
+    # with every mu in {-1, 0, 1} against negative, positive and signed-zero psi
+    rng = np.random.default_rng(1)
+    psi = np.repeat(np.concatenate([_signed_values(rng, 1000), [0.0, -0.0, -1.5, 2.5]]), 3)
+    mu = np.tile(np.array([-1, 0, 1], dtype=np.int8), psi.size // 3)
+    twice = psi.copy()
+    np.multiply(mu, twice, out=twice)
+    np.multiply(mu, twice, out=twice)
+    assert twice.tobytes() == (np.abs(mu) * psi).tobytes()
+    assert np.signbit(twice[mu == 0]).any() and not np.signbit(twice[mu == 0]).all()
 
 
 def test_numpy_reduction_order_canary():

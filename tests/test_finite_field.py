@@ -87,6 +87,17 @@ def test_is_prime_against_trial_division():
     assert not is_prime(2**32 + 1)
 
 
+def test_is_prime_up_to_the_least_strong_pseudoprime_to_its_bases():
+    # psi_12, the least strong pseudoprime to every base 2..37, is caught by
+    # base 41 alone; psi_13, the least to every base 2..41 (Sorenson-Webster),
+    # still passes all 13, so the docstring's bound is the true one
+    psi12 = 318665857834031151167461
+    psi13 = 3317044064679887385961981
+    assert psi12 == 399165290221 * 798330580441 and not is_prime(psi12)
+    assert psi13 == 1287836182261 * 2575672364521 and is_prime(psi13)
+    assert is_prime(399165290221) and is_prime(798330580441)
+
+
 def test_factor_examples():
     assert factor(12) == [(2, 2), (3, 1)]
     assert factor(1) == []

@@ -128,9 +128,10 @@ def test_interval_params():
 
 def test_sieve_examples():
     t = sieve_arith(20)
-    assert t.lam[8] == pytest.approx(math.log(2))
-    assert t.lam[7] == pytest.approx(math.log(7))
-    assert t.lam[6] == 0.0
+    lam = t.lam_upto(20)
+    assert lam[8] == pytest.approx(math.log(2))
+    assert lam[7] == pytest.approx(math.log(7))
+    assert lam[6] == 0.0
     assert t.mu[6] == 1 and t.mu[12] == 0 and t.mu[10] == 1 and t.mu[7] == -1
     assert divisor_counts(20)[12] == 6
 
@@ -159,8 +160,9 @@ def test_sieve_against_trial_division():
     # isqrt(L)
     for L in (2, 3, 4, 6, 12, 49, 500, 3000, 9408, 9409, 9506):
         t = sieve_arith(L)
+        lam = t.lam_upto(L)
         tau = divisor_counts(L)
-        assert len(t.lam) == len(t.mu) == len(tau) == L + 1
+        assert len(lam) == len(t.mu) == len(tau) == L + 1
         assert tau[0] == 0 and t.mu[0] == 0
         for n in range(1, L + 1):
             fs = _trial_factor(n)
@@ -169,20 +171,21 @@ def test_sieve_against_trial_division():
             assert tau[n] == math.prod(e + 1 for _, e in fs), (L, n)
             assert t.mu[n] == ((-1) ** omega if sqfree else 0), (L, n)
             if len(fs) == 1:
-                assert t.lam[n] == math.log(fs[0][0]), (L, n)
+                assert lam[n] == math.log(fs[0][0]), (L, n)
             else:
-                assert t.lam[n] == 0.0
+                assert lam[n] == 0.0
 
 
 def test_sieve_bytes_pinned():
-    # sha256 of the lam and mu bytes, and of the divisor-count bytes, at
-    # L = 10**6, recorded from the earlier sieve that also filled the omega
-    # and tau tables; the reports of sums vaughan and mobius read these
-    # tables, so any bit that moves shows here first
+    # sha256 of the dense lam and the mu bytes, and of the divisor-count
+    # bytes, at L = 10**6, recorded from the earlier sieve that also filled
+    # the omega and tau tables; the reports of sums vaughan and mobius read
+    # these tables, so any bit that moves shows here first
     t = sieve_arith(10**6)
+    lam = t.lam_upto(10**6)
     tau = divisor_counts(10**6)
-    assert [a.dtype for a in (t.lam, t.mu, tau)] == [np.float64, np.int8, np.int64]
-    assert hashlib.sha256(t.lam.tobytes() + t.mu.tobytes()).hexdigest() == (
+    assert [a.dtype for a in (lam, t.mu, tau)] == [np.float64, np.int8, np.int64]
+    assert hashlib.sha256(lam.tobytes() + t.mu.tobytes()).hexdigest() == (
         "e285ff3462904ab5170c94e1b27ed987900b25484ec2d60a5c23238cf1115b24")
     assert hashlib.sha256(tau.tobytes()).hexdigest() == (
         "639ea2e313c455650a0ed30d0160ae304883e08fc9d492fc338282dac63611b7")
@@ -194,7 +197,19 @@ def test_chebyshev_identity():
     lcm = 1
     for n in range(2, L + 1):
         lcm = math.lcm(lcm, n)
-    assert float(t.lam[: L + 1].sum()) == pytest.approx(math.log(lcm), abs=1e-6)
+    assert float(t.lam_upto(L).sum()) == pytest.approx(math.log(lcm), abs=1e-6)
+
+
+def test_lam_upto_is_a_prefix_of_the_dense_table():
+    # n on both sides of isqrt(L), where the small primes' powers end and the
+    # big primes begin; n past L is refused
+    for L in (2, 9, 100, 9409):
+        t = sieve_arith(L)
+        full = t.lam_upto(L)
+        for n in sorted({0, 1, 2, math.isqrt(L), math.isqrt(L) + 1, L // 2, L - 1, L}):
+            assert t.lam_upto(n).tobytes() == full[:n + 1].tobytes(), (L, n)
+        with pytest.raises(ValueError, match="past L"):
+            t.lam_upto(L + 1)
 
 
 def test_squarefree_count_identity():

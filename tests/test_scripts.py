@@ -142,3 +142,37 @@ def test_bench_resolves_medians_apart_by_more_than_the_base_spread(tmp_path, mon
         {name: 0.01 / 1.15 if name == "peak_rss_mb" else 0.5 / 1.15 - 1 for name in names})
     spec = json.loads((ROOT / "BENCHMARK.json").read_text())["end_to_end"]
     assert entry["bound"] == {m["name"]: m["bound"] for m in spec}
+
+
+def test_bench_runs_every_named_workload_into_one_file(tmp_path, monkeypatch):
+    # one invocation over two workloads (the first named twice, run once):
+    # each gets its own untimed run per side and its pairs, and both entries
+    # join the one already in the --out file
+    bench = _bench_module()
+    names = [m["name"] for m in json.loads((ROOT / "BENCHMARK.json").read_text())["end_to_end"]]
+    seen = []
+
+    def fake_run(argv, cwd, env, **kwargs):
+        workload = argv[argv.index("--workload") + 1]
+        seen.append((workload, cwd.name, "--smoke" in argv))
+        return _completed(argv, {name: 2.0 if workload == "sums" else 1.0 for name in names})
+
+    monkeypatch.setattr(bench.subprocess, "run", fake_run)
+    (tmp_path / "b").mkdir()
+    (tmp_path / "b" / "BENCHMARK.json").write_text((ROOT / "BENCHMARK.json").read_text())
+    out = tmp_path / "bench.json"
+    out.write_text(json.dumps({"mixed-cache": {"pairs": 3}}))
+    assert bench.main(["--base", str(tmp_path / "a"), "--change", str(tmp_path / "b"),
+                       "--workload", "sums", "--workload", "vertical", "--workload", "sums",
+                       "--pairs", "2", "--out", str(out)]) == 0
+    one = [("a", True), ("b", True), ("a", False), ("b", False), ("b", False), ("a", False)]
+    assert seen == [("sums", *r) for r in one] + [("vertical", *r) for r in one]
+    entries = json.loads(out.read_text())
+    assert sorted(entries) == ["mixed-cache", "sums", "vertical"]
+    assert entries["mixed-cache"] == {"pairs": 3}
+    for workload, value in (("sums", 2.0), ("vertical", 1.0)):
+        entry = entries[workload]
+        assert entry["pairs"] == 2 and entry["correct"]
+        for side in ("base", "change"):
+            assert [r["seed"] for r in entry["runs"][side]] == [0, 1]
+            assert entry["summary"][side]["wall_s"]["median"] == value
