@@ -159,6 +159,7 @@ def _angles_params(args, p):
     elif kind == "primes":
         if args.limit is None:
             raise ValueError("primes kind needs -L")
+        require_size(args.limit, ex.PRIMES_LIMIT, "L")
         ps = primes_upto(args.limit)
     elif kind == "geometric":
         if args.lam is None or args.length is None:

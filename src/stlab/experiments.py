@@ -18,7 +18,7 @@ import numpy as np
 
 from .errors import NondegeneracyError, RefusedError
 from .family import FamilyPoly, check_nondeg_global, check_nondeg_mod_p
-from .finite_field import ResidueTable, mult_order, require_table_size
+from .finite_field import TABLE_LIMIT, ResidueTable, mult_order, require_table_size
 from .param_sets import (
     divisor_counts,
     erdos_delta,
@@ -62,6 +62,19 @@ PRIME_SUM_LIMIT = 10**8
 # above that figure (ru_maxrss 8-52% above).  mixed_geometric refuses a T
 # and lam whose powers would pass POWERS_BUDGET bytes by it.
 POWERS_BUDGET = 4 * 10**8
+# L of the prime parameter sets (angles --kind primes, experiment
+# vertical-primes and mixed-primes).  Over the interpreter's own, the first
+# two peak at about 5.5 bytes per unit of L and mixed-primes at about 7 (the
+# prime mask, the primes as Python ints and their residues; ru_maxrss at
+# L = 4 * 10**6 and 1.6 * 10**7 with p = 1009 and x = 11): about 0.28 and
+# 0.35 GB at the limit.
+PRIMES_LIMIT = 5 * 10**7
+# x of the mixed runs.  The driver holds the primes up to x and one row per
+# prime, about 6.5 bytes per unit of x over the interpreter's own (ru_maxrss
+# at x = 10**7 and 4 * 10**7 with the per-prime trace work stubbed out): 55 MB
+# at the limit.  A larger x could only fail late: every prime up to x is
+# traced, and a prime above TABLE_LIMIT is refused after all smaller ones.
+MIXED_X_LIMIT = TABLE_LIMIT
 
 
 # ---------------------------------------------------------------------------
@@ -197,6 +210,7 @@ def vertical_primes(fam: FamilyPoly, p: int, L: int, iv: Interval) -> VerticalRe
     _require_nondeg_mod_p(fam, p)
     if L < 3:
         raise ValueError("L must be >= 3")
+    require_size(L, PRIMES_LIMIT, "L")
     pset = primes_upto(L)
     bracket = L * p**-0.25 + L ** (11.0 / 12.0) + L**0.75 * p**0.25
     return _vertical_report(fam, p, pset.descriptor, pset.elements, iv, bracket,
@@ -266,6 +280,7 @@ def mixed_product(fam: FamilyPoly, x: int, U, V, iv: Interval, cache=None,
     Accumulates sum_p M_p exactly (pairs with p | uv stay in whenever the
     reduced parameter keeps good reduction); bracket (x / (#U #V))^(1/4).
     """
+    require_size(x, MIXED_X_LIMIT, "x")
     U, V = list(U), list(V)
     if not U or not V:
         raise ValueError("U and V must be non-empty")
@@ -294,6 +309,7 @@ def mixed_geometric(fam: FamilyPoly, x: int, lam: int, T: int, iv: Interval,
         raise ValueError("T must be >= 1")
     if x < 3:
         raise ValueError("x must be >= 3")
+    require_size(x, MIXED_X_LIMIT, "x")
     # bytes, by the POWERS_BUDGET comment; a T past the budget is past it at
     # every |lam| >= 2, and T * T may not convert to a float
     need = math.inf if T > POWERS_BUDGET else T * T * math.log2(abs(lam)) / 15
@@ -317,6 +333,8 @@ def mixed_primes(fam: FamilyPoly, x: int, L: int, iv: Interval, cache=None,
     """
     if L < 3:
         raise ValueError("L must be >= 3")
+    require_size(x, MIXED_X_LIMIT, "x")
+    require_size(L, PRIMES_LIMIT, "L")
     ells = primes_upto(L).elements
     return _run_mixed(fam, x, ells, [1] * len(ells), iv, f"mixed-primes:x={x}:L={L}",
                       lambda x: x**-0.25 + L ** (-1.0 / 12.0) + L**-0.25 * x**0.25,

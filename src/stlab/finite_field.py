@@ -21,10 +21,13 @@ from .errors import RefusedError
 _MR_WITNESSES = (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37, 41)
 
 # Every trace path builds a ResidueTable first, so this one cap refuses a prime
-# before any O(p) array exists.  Tracing at one prime peaks at about 60 bytes
+# before any O(p) array exists.  Tracing at one prime peaks at about 46 bytes
 # per unit of p when its rows are read by dots (four residues) and at about
-# 210 when every residue is asked for (FFT rows), over the interpreter's own
-# (measured at p = 1000003 and 2000003); at 2**23 that is 0.5 and 1.8 GB.
+# 178 when every residue is asked for (an FFT twist row), over the
+# interpreter's own (ru_maxrss of `angles` at p = 1000003 and 2000003); at
+# 2**23 that is 0.39 and 1.5 GB.  Of the 178, about 116 are numpy's arrays
+# (tracemalloc); the rest is pocketfft's plan and work buffers and heap
+# fragmentation.
 TABLE_LIMIT = 1 << 23
 
 

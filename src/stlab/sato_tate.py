@@ -8,6 +8,7 @@ diagnostic bracket m/k + sum_{n<=k} |S_n| / n.
 
 from __future__ import annotations
 
+import itertools
 import math
 from dataclasses import dataclass
 
@@ -119,14 +120,31 @@ def _transformed_sorted(sample: AngleSample) -> np.ndarray:
     return t
 
 
-def star_discrepancy(sample: AngleSample) -> float:
-    """Exact star discrepancy of the CDF-transformed sample against uniform."""
-    m = sample.m
-    if m < 1:
-        raise ValueError("empty sample")
-    u = _transformed_sorted(sample)
+def _star(u: np.ndarray) -> float:
+    """Star discrepancy of the sorted CDF transform u (nonempty)."""
+    m = u.size
     i = np.arange(1, m + 1, dtype=np.float64)
     return float(np.max(np.maximum(i / m - u, u - (i - 1) / m)))
+
+
+def _interval_exact(u: np.ndarray) -> float:
+    """The exact interval discrepancy from the sorted CDF transform u (nonempty)."""
+    m = u.size
+    vals, counts = np.unique(u, return_counts=True)
+    cum = np.cumsum(counts)  # points <= vals[k]
+    grid = np.concatenate(([0.0], vals, [1.0]))
+    le = np.concatenate(([0], cum, [m])).astype(np.float64)  # points <= grid point
+    lt = np.concatenate(([0], cum - counts, [m])).astype(np.float64)  # points < grid point
+    h_le = le / m - grid  # (a, b] intervals: dev = h_le(b) - h_le(a)
+    h_lt = lt / m - grid  # [a, b) intervals: dev = h_lt(b) - h_lt(a)
+    return max(float(h_le.max() - h_le.min()), float(h_lt.max() - h_lt.min()))
+
+
+def star_discrepancy(sample: AngleSample) -> float:
+    """Exact star discrepancy of the CDF-transformed sample against uniform."""
+    if sample.m < 1:
+        raise ValueError("empty sample")
+    return _star(_transformed_sorted(sample))
 
 
 def interval_discrepancy(sample: AngleSample) -> tuple[float, bool]:
@@ -141,18 +159,24 @@ def interval_discrepancy(sample: AngleSample) -> tuple[float, bool]:
     m = sample.m
     if m < 1:
         raise ValueError("empty sample")
-    if m > INTERVAL_EXACT_LIMIT:
-        return 2.0 * star_discrepancy(sample), False
     u = _transformed_sorted(sample)
-    vals, counts = np.unique(u, return_counts=True)
-    cum = np.cumsum(counts)  # points <= vals[k]
-    grid = np.concatenate(([0.0], vals, [1.0]))
-    le = np.concatenate(([0], cum, [m])).astype(np.float64)  # points <= grid point
-    lt = np.concatenate(([0], cum - counts, [m])).astype(np.float64)  # points < grid point
-    h_le = le / m - grid  # (a, b] intervals: dev = h_le(b) - h_le(a)
-    h_lt = lt / m - grid  # [a, b) intervals: dev = h_lt(b) - h_lt(a)
-    d = max(float(h_le.max() - h_le.min()), float(h_lt.max() - h_lt.min()))
-    return d, True
+    if m > INTERVAL_EXACT_LIMIT:
+        return 2.0 * _star(u), False
+    return _interval_exact(u), True
+
+
+def _sym_sum_terms(sample: AngleSample, n_max: int):
+    """|sym-sum_n| / n for n = 1..n_max, one recurrence step each, as asked for."""
+    for n, u in sym_terms(np.cos(sample.psis), n_max):
+        yield abs(float(np.sum(u))) / n
+
+
+def _bracket(m: int, k: int, terms) -> float:
+    """m/k plus the terms added in their order."""
+    total = 0.0
+    for term in terms:
+        total += term
+    return m / k + total
 
 
 def niederreiter_rhs(sample: AngleSample, k: int) -> float:
@@ -162,34 +186,40 @@ def niederreiter_rhs(sample: AngleSample, k: int) -> float:
     m = sample.m
     if m == 0:
         return 0.0
-    total = 0.0
-    for n, u in sym_terms(np.cos(sample.psis), k):
-        total += abs(float(np.sum(u))) / n
-    return m / k + total
+    return _bracket(m, k, _sym_sum_terms(sample, k))
 
 
 def discrepancy_report(sample: AngleSample) -> DiscrepancyReport:
     """Assemble star/interval discrepancies plus the bracket at the recipe's k.
 
     k = ceil((m/sigma)^(1/2)) when sigma < m, else 1, with sigma the observed
-    max over n <= 20 of |sym-sum_n| / n.
+    max over n <= 20 of |sym-sum_n| / n.  One pass of the recurrence gives
+    sigma's terms and the bracket's, continued past n = 20 only when k > 20,
+    and one sorted CDF transform serves both discrepancies.
     """
     m = sample.m
     if m < 1:
         raise ValueError("empty sample")
-    sigma = max(abs(float(np.sum(u))) / n for n, u in sym_terms(np.cos(sample.psis), 20))
+    more = _sym_sum_terms(sample, max(20, m))
+    terms = list(itertools.islice(more, 20))
+    sigma = max(terms)
     if sigma >= m:
         k = 1
     elif sigma <= 0.0:
         k = m  # degenerate: all test sums vanish; cap at m
     else:
         k = min(max(1, math.ceil((m / sigma) ** 0.5)), m)
-    iv_disc, exact = interval_discrepancy(sample)
+    if k > 20:
+        terms += itertools.islice(more, k - 20)
+    del more
+    u = _transformed_sorted(sample)
+    star = _star(u)
+    exact = m <= INTERVAL_EXACT_LIMIT
     return DiscrepancyReport(
         m=m,
-        star=star_discrepancy(sample),
-        interval_bound=iv_disc,
-        niederreiter_rhs=niederreiter_rhs(sample, k),
+        star=star,
+        interval_bound=_interval_exact(u) if exact else 2.0 * star,
+        niederreiter_rhs=_bracket(m, k, terms[:k]),
         k_used=k,
         interval_exact=exact,
     )

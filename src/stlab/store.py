@@ -142,8 +142,10 @@ class TraceCache:
         torn inside the first header write.  A CacheError when data is not
         ASCII or not the header of this family's cache."""
         if not data.isascii():
-            line = data.count(b"\n", 0, re.search(rb"[\x80-\xff]", data).start()) + 1
-            raise CacheError(f"{self.path}:{line}: a byte that is not ASCII")
+            at = re.search(rb"[\x80-\xff]", data).start()
+            # line ends before it, read as _text_newlines reads them
+            ends = data.count(b"\n", 0, at) + data.count(b"\r", 0, at) - data.count(b"\r\n", 0, at)
+            raise CacheError(f"{self.path}:{ends + 1}: a byte that is not ASCII")
         data = _text_newlines(data)
         end = data.find(b"\n")
         if end < 0 and (_MAGIC + self.fingerprint).encode("ascii").startswith(data):

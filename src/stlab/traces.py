@@ -48,10 +48,20 @@ def _chi_hat(leg, p: int):
 
 
 def _correlate(weights, chi_hat, size: int, p: int) -> np.ndarray:
-    """c[s] = sum_y weights[y] chi(y + s mod p) for s in [0, p), as exact int64."""
-    c = np.fft.irfft(np.conj(np.fft.rfft(weights, size)) * chi_hat, size)[:p]
+    """c[s] = sum_y weights[y] chi(y + s mod p) for s in [0, p), as exact int64.
+
+    The spectrum product and the rounding residual are formed in place, so
+    the transform holds chi_hat and two more size-long arrays at most.
+    """
+    f = np.fft.rfft(weights, size)
+    np.conjugate(f, out=f)
+    f *= chi_hat
+    c = np.fft.irfft(f, size)[:p]
+    del f
     r = np.rint(c)
-    err = float(np.max(np.abs(c - r)))
+    c -= r
+    err = float(np.abs(c, out=c).max())
+    del c
     if not err < 0.25:
         raise RuntimeError(f"FFT correlation not integral at p={p}: residual {err:.3g} (bug)")
     return r.astype(np.int64)
@@ -76,12 +86,12 @@ def _dot_row(weights, chi2, shifts, p: int) -> np.ndarray:
 def _few_shifts(k: int, p: int) -> bool:
     """True when k exact dots (_dot_row) cost less than one FFT row at p.
 
-    Fitted on 2 vCPUs (numpy 2.4.6) for 101 <= p <= 10**6: a dot of length p
-    takes about 1.5 us + p / 3 ns, and an FFT row about 40 us + 10 p log2(p)
-    ns, counting the transform of chi it needs (a sparse row is nearly always
-    the only row at its prime).
+    Fitted on 2 vCPUs (numpy 2.4.6) for 31 <= p <= 10**6: a float32 dot of
+    length p takes about 1.5 us + p / 4 ns, and an FFT row about 40 us +
+    10 p log2(p) ns, counting the transform of chi it needs (a sparse row is
+    nearly always the only row at its prime).
     """
-    return k * (1500 + p / 3) < 40_000 + 10 * p * p.bit_length()
+    return k * (1500 + p / 4) < 40_000 + 10 * p * p.bit_length()
 
 
 def _table_traces(tbl: ResidueTable, a_arr, b_arr) -> np.ndarray:
@@ -108,6 +118,11 @@ def _table_traces(tbl: ResidueTable, a_arr, b_arr) -> np.ndarray:
     c[s] = sum_y W[y] chi(y + s); a row asked for few distinct shifts reads
     them as exact dot products (_dot_row), any other row is one FFT
     correlation (_correlate), and chi's transform is built only for those.
+
+    A full-field call holds each O(p) array once: its residues, a b, the
+    inverse table and 1/b go as soon as the shift s and the sign chi(a b)
+    exist, chi's float32 copy goes before an FFT row, and the output is
+    allocated only after the rows are read.
     """
     p, leg, pw = tbl.p, tbl.leg, tbl.pw
     chi2 = chi_hat = None
@@ -118,18 +133,21 @@ def _table_traces(tbl: ResidueTable, a_arr, b_arr) -> np.ndarray:
         need[shifts] = True
         if _few_shifts(np.count_nonzero(need), p):
             uniq = np.flatnonzero(need)
+            del need
             if chi2 is None:
                 chi2 = np.concatenate((leg, leg[:-1])).astype(np.float32)
             c = np.zeros(p, dtype=np.int64)
             c[uniq] = _dot_row(weights, chi2, uniq, p)
         else:
+            del need
+            chi2 = None
             if chi_hat is None:
                 chi_hat = _chi_hat(leg, p)
             c = _correlate(weights, *chi_hat, p)
         return c[shifts]
 
     chi_w = leg[pw]  # chi(g^z)
-    out = np.empty(len(a_arr), dtype=np.int64)
+    parts = []  # (where, traces) per row, written to the output last
     ab = a_arr * b_arr % p
     rest = ab != 0
     if rest.all():
@@ -144,26 +162,44 @@ def _table_traces(tbl: ResidueTable, a_arr, b_arr) -> np.ndarray:
             else:
                 n0[pw[::3]] = 3
             n0[0] = 1
-            out[j0] = -read(n0, b_arr[j0])
+            parts.append((j0, -read(n0, b_arr[j0])))
+            del n0
         if j1728.any():
             h = (p - 1) // 2
             m2 = np.zeros(p)
             m2[pw[::2]] = chi_w[:h] + chi_w[h:]
-            out[j1728] = -read(m2, a_arr[j1728])
-    a, b, ab = a_arr[rest], b_arr[rest], ab[rest]
+            parts.append((j1728, -read(m2, a_arr[j1728])))
+            del m2
+        ab = ab[rest]
     if ab.size:
-        sq3 = pw[::2] + 3
-        y = np.concatenate((sq3, sq3))
-        y -= 3 * pw
-        y[0] -= 1
-        y[1:] -= pw[:0:-1]
-        m = np.bincount(_mod_inplace(y, p), weights=chi_w, minlength=p)
+        a, b = a_arr[rest], b_arr[rest]
+        sign = leg[ab]  # chi(a b)
+        del ab
         inv = np.zeros(p, dtype=np.int64)
         inv[pw[1:]] = pw[:0:-1]  # 1/g^z = g^(p-1-z)
         inv[1] = 1
         ib = inv[b]
-        s = a * a % p * a % p * (ib * ib % p) % p
-        out[rest] = leg[ab] * (-int(leg[p - 1]) - read(m, s))
+        del inv, b
+        ib *= ib
+        s = a * a % p * a % p * _mod_inplace(ib, p)
+        del a, ib
+        _mod_inplace(s, p)
+        y = np.tile(pw[::2] + 3, 2)
+        y -= 3 * pw
+        y[0] -= 1
+        y[1:] -= pw[:0:-1]
+        m = np.bincount(_mod_inplace(y, p), weights=chi_w, minlength=p)
+        del y, chi_w
+        twist = read(m, s)
+        del m, s
+        np.subtract(-int(leg[p - 1]), twist, out=twist)
+        twist *= sign
+        if not parts:
+            return twist
+        parts.append((rest, twist))
+    out = np.empty(len(a_arr), dtype=np.int64)
+    for where, traces in parts:
+        out[where] = traces
     return out
 
 
@@ -191,7 +227,7 @@ def param_array(ts) -> np.ndarray:
 
 def _residues(ts, p: int) -> np.ndarray:
     """t mod p in [0, p) for every parameter, exact at any size."""
-    return (param_array(ts) % p).astype(np.int64)
+    return (param_array(ts) % p).astype(np.int64, copy=False)
 
 
 def acos_once(a: np.ndarray, z_of) -> np.ndarray:
@@ -254,14 +290,21 @@ def residue_traces(fam: FamilyPoly, p: int, ws, tbl: ResidueTable | None = None)
     ws = _residues(ws, p)
     a_par = poly_eval_mod(fam.f_coeffs, ws, p)
     b_par = poly_eval_mod(fam.g_coeffs, ws, p)
+    del ws
     good = nonsingular(a_par, b_par, p)
-
-    out = np.zeros(len(ws), dtype=np.int64)
-    idx = np.flatnonzero(good)
-    if idx.size:
-        out[idx] = _table_traces(tbl, a_par[idx], b_par[idx])
-        if int(np.abs(out[idx]).max()) > hasse_limit(p):
-            raise RuntimeError(f"Hasse violated in trace table at p={p} (bug)")
+    if not good.any():
+        return np.zeros(good.size, dtype=np.int64), good
+    if not good.all():  # otherwise the residues go on uncopied
+        a_par, b_par = a_par[good], b_par[good]
+    traced = _table_traces(tbl, a_par, b_par)
+    del a_par, b_par
+    lim = hasse_limit(p)
+    if int(traced.max()) > lim or int(traced.min()) < -lim:
+        raise RuntimeError(f"Hasse violated in trace table at p={p} (bug)")
+    if traced.size == good.size:
+        return traced, good
+    out = np.zeros(good.size, dtype=np.int64)
+    out[good] = traced
     return out, good
 
 
@@ -308,8 +351,12 @@ def residue_angles(fam: FamilyPoly, p: int, params):
     """
     ws, where = np.unique(_residues(params, p), return_inverse=True)
     a_vec, good = residue_traces(fam, p, ws)
-    psi_of = np.full(len(ws), np.nan)
-    psi_of[good] = acos_once(a_vec[good], lambda v: v / (2.0 * math.sqrt(p)))
+    del ws
+    a_good = a_vec if good.all() else a_vec[good]
+    del a_vec
+    psi_of = np.full(good.size, np.nan)
+    psi_of[good] = acos_once(a_good, lambda v: v / (2.0 * math.sqrt(p)))
+    del a_good
     return psi_of[where], good[where]
 
 

@@ -189,6 +189,39 @@ def test_sums_size_refused_before_any_sieve(argv, limit, monkeypatch, capsys):
         run([*argv, str(at), *fam])
 
 
+@pytest.mark.parametrize("argv,limit", [
+    (["angles", "-p", "101", "--kind", "primes", "-L"], "PRIMES_LIMIT"),
+    (["experiment", "vertical-primes", "-p", "101", "-L"], "PRIMES_LIMIT"),
+    (["experiment", "mixed-primes", "-x", "30", "-L"], "PRIMES_LIMIT"),
+    (["experiment", "mixed-product", "--set-u", "1..3", "--set-v", "1..3", "-x"],
+     "MIXED_X_LIMIT"),
+    (["experiment", "mixed-geometric", "--lam", "2", "-T", "5", "-x"], "MIXED_X_LIMIT"),
+    (["experiment", "mixed-primes", "-L", "20", "-x"], "MIXED_X_LIMIT"),
+], ids=["angles-L", "vertical-primes-L", "mixed-primes-L", "mixed-product-x",
+        "mixed-geometric-x", "mixed-primes-x"])
+def test_prime_sieve_size_refused_before_any_sieve(argv, limit, monkeypatch, capsys):
+    def no_sieve(*args, **kwargs):
+        raise AssertionError("a sieve started")
+
+    for name in ("stlab.param_sets._prime_mask", "stlab.param_sets._least_prime_factors"):
+        monkeypatch.setattr(name, no_sieve)
+    at = getattr(sys.modules["stlab.experiments"], limit)
+    fam = ["--f", "0,1", "--g", "0,1"]
+    tracemalloc.start()
+    try:
+        code = run([*argv, str(at + 1), *fam])
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert code == 3
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == f"refused: {argv[-1].lstrip('-')}={at + 1} exceeds the {at} limit\n"
+    assert peak < 4 << 20
+    with pytest.raises(AssertionError, match="a sieve started"):  # the limit itself is admitted
+        run([*argv, str(at), *fam])
+
+
 @pytest.mark.parametrize("kind", ["vaughan", "mobius"])
 @pytest.mark.parametrize("L, cuts", [
     (20_000_000, ["-K", "1", "-M", "1"]),

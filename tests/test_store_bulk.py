@@ -221,6 +221,23 @@ def test_torn_tail_and_non_ascii(fam_zz, tmp_path):
             open_cache(str(path), fam_zz)
 
 
+@pytest.mark.parametrize("ends", [["\n"], ["\r"], ["\r\n"], ["\n", "\r", "\r\n", "\r"]],
+                         ids=["lf", "cr", "crlf", "mixed"])
+@pytest.mark.parametrize("line", [1, 4])
+def test_non_ascii_byte_numbered_by_the_loaders_line_ends(fam_zz, tmp_path, ends, line):
+    # a CR, an LF or a CRLF ends a line, as the loader reads the file, so the
+    # byte is reported on the line it sits on whatever the line ends
+    path = tmp_path / "c.txt"
+    lines = [f"# stlab-cache v1 family={fingerprint_hex(fam_zz)}", "5,1,2", "7,1,3",
+             "7,2,-1", "101,3,0"]
+    lines[line - 1] += "\xe9"
+    text = "".join(row + ends[i % len(ends)] for i, row in enumerate(lines))
+    path.write_bytes(text.encode("latin-1"))
+    with pytest.raises(CacheError) as err:
+        open_cache(str(path), fam_zz)
+    assert str(err.value) == f"{path}:{line}: a byte that is not ASCII"
+
+
 @pytest.mark.parametrize("ends", [["\r"], ["\r\n"], ["\n", "\r", "\r\n", "\r"]],
                          ids=["cr", "crlf", "mixed"])
 @pytest.mark.parametrize("tail", ["", "101,7"], ids=["whole", "torn"])

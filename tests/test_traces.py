@@ -1,6 +1,7 @@
 import ast
 import contextlib
 import math
+import tracemalloc
 from pathlib import Path
 
 import numpy as np
@@ -276,6 +277,32 @@ def test_table_traces_at_a_large_prime():
     b[3:6] = 0
     got = _table_traces(tbl, a, b)
     assert got.tolist() == [trace(CurveInstance(p, int(x), int(y)), tbl) for x, y in zip(a, b)]
+
+
+@pytest.mark.parametrize("p", [20011, 100003])
+@pytest.mark.parametrize("fc, gc", [([0, 1], [0, 1]), ([-1, 1], [-2, 0, 1]),
+                                    ([3, -2, 5], [1, 7])],
+                         ids=["f=g=t", "f=t-1,g=t^2-2", "f=5t^2-2t+3,g=7t+1"])
+def test_dense_trace_traced_peak(fc, gc, p):
+    # a full-field sample holds each O(p) array once: at the FFT, the good
+    # residues, the shift and sign and the twist weights, with chi's transform
+    # and two more arrays of about 2p float64 each (about 85 and 110 bytes
+    # per unit of p).  Copying the good residues, keeping a b, 1/b and the
+    # inverse table up to the FFT, and forming the spectrum product and the
+    # rint residual out of place took 176-220 and 201-245
+    fam = build_family(fc, gc)
+    tbl = ResidueTable.build(p)
+    peaks = []
+    for call in (lambda: residue_traces(fam, p, range(p), tbl),
+                 lambda: angle_sample(fam, p, range(p))):
+        tracemalloc.start()
+        try:
+            base = tracemalloc.get_traced_memory()[0]
+            call()
+            peaks.append((tracemalloc.get_traced_memory()[1] - base) / p)
+        finally:
+            tracemalloc.stop()
+    assert peaks[0] <= 110 and peaks[1] <= 130, peaks
 
 
 def test_one_primitive_root_per_prime(fam_zz, monkeypatch):
