@@ -46,6 +46,13 @@ from .store import open_cache
 from .traces import TraceRecord, angle, angle_sample, trace
 
 
+# --bins of angles.  Each bin is one histogram row: about 190 bytes over the
+# interpreter's own and 2.4 us, or 500 bytes and 8.4 us with --csv and --svg
+# (ru_maxrss at 10**5 and 4 * 10**5 bins, p = 1009), so 0.2-0.5 GB and up to
+# 8 s at the limit.
+BINS_LIMIT = 10**6
+
+
 def _parse_coeffs(text: str) -> list[int]:
     try:
         return [int(c) for c in text.split(",")]
@@ -246,6 +253,7 @@ def _angles(args, fam, iv):
     p = args.prime
     require_prime_above_3(p)  # a subgroup or progression mod a non-prime is undefined
     require_table_size(p)
+    require_size(args.bins, BINS_LIMIT, "bins")
     params, desc = _angles_params(args, p)
     sample = angle_sample(fam, p, params)
     rep = discrepancy_report(sample)

@@ -75,6 +75,20 @@ PRIMES_LIMIT = 5 * 10**7
 # at the limit.  A larger x could only fail late: every prime up to x is
 # traced, and a prime above TABLE_LIMIT is refused after all smaller ones.
 MIXED_X_LIMIT = TABLE_LIMIT
+# Work of verify charsum.  A run makes n_max passes over its period (the p - 1
+# values of F_p*, or the r of --subgroup-r), one FFT each, or n_max * count
+# in sampled mode, one character sum each; a pass costs one unit per value
+# and _PASS_COST more (its Python work and report).  A unit took 100 ns
+# exhaustive at p = 10007 (--n-max 50 and 200) and 290 ns at p = 1000003
+# (5 and 20), 32 ns sampled at p = 10007 (--n-max 2, --count 100 and 1000)
+# and 55 ns at p = 100003 (1, 100 and 400), and a pass 30 us at p = 5
+# (--n-max 10**4 and 10**5), so a run at the limit takes 5-40 s.  Each pass
+# holds about 600 bytes of report over the interpreter's own (ru_maxrss at
+# p = 5), 0.3 GB at the limit, and each sampled character 16 bytes more.
+# charsum_verify refuses more than CHARSUM_WORK_LIMIT units before the
+# residue table is built.
+CHARSUM_WORK_LIMIT = 1 << 27
+_PASS_COST = 256
 
 
 # ---------------------------------------------------------------------------
@@ -365,15 +379,17 @@ def charsum_verify(fam: FamilyPoly, p: int, n_max: int, mode: str = "exhaustive"
             raise ValueError("sampled mode needs a seed")
     elif mode != "exhaustive":
         raise ValueError(f"unknown mode {mode!r}")
+    # F_p* ordered by index, w_of[z] = g^z, or its subgroup of order r, h^i
+    # with h = g^((p-1)/r)
+    step = 1 if subgroup_r is None else subgroup_index(p, subgroup_r)
+    period = (p - 1) // step
+    work = n_max * (count if mode == "sampled" else 1) * (period + _PASS_COST)
+    if work > CHARSUM_WORK_LIMIT:
+        sampled = f", count={count}" if mode == "sampled" else ""
+        raise RefusedError(f"n_max={n_max}{sampled} over {period} values is {work} "
+                           f"work units, above the {CHARSUM_WORK_LIMIT} limit")
     tbl = ResidueTable.build(p)
-
-    if subgroup_r is None:
-        # order all of F_p* by index: w_of[z] = g^z
-        w_of = tbl.pw
-        period = p - 1
-    else:
-        w_of = tbl.pw[::subgroup_index(p, subgroup_r)]  # h^i with h = g^((p-1)/r)
-        period = subgroup_r
+    w_of = tbl.pw[::step]
 
     a_vec, good = residue_traces(fam, p, w_of, tbl)
     z = a_vec / (2.0 * math.sqrt(p))
@@ -486,22 +502,15 @@ def bilinear_sum(fam: FamilyPoly, p: int, U, V, alpha_weights, beta_weights, n: 
 def _psi_of_t(fam: FamilyPoly, p: int, L: int, n: int, psi_fn=None) -> np.ndarray:
     """Array indexed by t in [0, L]: sym_n(psi(E(t))) times the good-reduction
     indicator, or psi_fn(t) when the surrogate hook is supplied."""
-    out = np.zeros(L + 1)
     if psi_fn is not None:
+        out = np.zeros(L + 1)
         out[1:] = [psi_fn(t) for t in range(1, L + 1)]
         return out
     ws = np.arange(p, dtype=np.int64)
     a_vec, good = residue_traces(fam, p, ws)
     z = a_vec / (2.0 * math.sqrt(p))
     res_vals = np.where(good, chebyshev_U(n, z), 0.0)
-    # out[t] = res_vals[t % p]: one period, then each copy doubles the filled
-    # prefix, whose length stays a multiple of p until the last copy
-    filled = min(p, L + 1)
-    out[:filled] = res_vals[:filled]
-    while filled <= L:
-        step = min(filled, L + 1 - filled)
-        out[filled:filled + step] = out[:step]
-        filled += step
+    out = np.resize(res_vals[:L + 1], L + 1)  # out[t] = res_vals[t % p]
     out[0] = 0.0
     return out
 
@@ -598,6 +607,7 @@ def vaughan_decompose(fam: FamilyPoly, p: int, L: int, K: float | None = None,
     K, M = _cuts(L, K, M)
     _require_nondeg_mod_p(fam, p)
     tables = sieve_arith(L)
+    big_logs = tables.big_logs  # before psi, so that forming them adds nothing to its peak
     psi = _psi_of_t(fam, p, L, n, psi_fn)
 
     Mi, Ki = int(M), int(K)
@@ -619,7 +629,7 @@ def vaughan_decompose(fam: FamilyPoly, p: int, L: int, K: float | None = None,
     # is log q * psi at the prime powers and 0.0 * psi elsewhere, signed zeros
     # and all, so its np.sum is that of the dense product.
     small = tables.logs * psi[tables.powers]
-    big = tables.big_logs * psi[tables.big]
+    big = big_logs * psi[tables.big]
     psi *= 0.0
     psi[tables.powers] = small
     psi[tables.big] = big
@@ -656,7 +666,7 @@ def mobius_sums(fam: FamilyPoly, p: int, L: int, n: int, K: float | None = None,
     _require_degree(n)
     K, M = _cuts(L, K, M)
     _require_nondeg_mod_p(fam, p)
-    mu = sieve_arith(L).mu  # lambda goes at once
+    mu = sieve_arith(L).mu  # lambda goes at once, its big primes' logs never formed
     psi = _psi_of_t(fam, p, L, n)
 
     cut = int(max(K, M))

@@ -4,17 +4,20 @@ Generators: multiplicative subgroups of F_p*, product multisets U*V, primes
 up to L, geometric progressions lambda^t, plain intervals.  One Eratosthenes
 prime mask underlies the primes, the Mobius table, the von Mangoldt function
 and divisor_window_count.  sieve_arith keeps von Mangoldt at its prime
-powers with their log q, and no float64 array over [0, L]: it peaks at about
-3.5 bytes per unit of L traced at L = 10**6, and ArithTables.lam_upto fills
-the dense table over a prefix where a sum needs one.  order_sum, the other
-order statistic of the geometric-progression experiments, reads its primes
-and the factorization of each p - 1 from one least-prime-factor table.
+powers, with the log q of the small primes only, and no float64 array over
+[0, L]: it peaks at about 2.4 bytes per unit of L traced at L = 10**6.  The
+logs of the primes above isqrt(L) are formed on first read, which only the
+von Mangoldt sums make, and ArithTables.lam_upto fills the dense table over
+a prefix where a sum needs one.  order_sum, the other order statistic of the
+geometric-progression experiments, reads its primes and the factorization of
+each p - 1 from one least-prime-factor table.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from functools import cached_property
 
 import numpy as np
 
@@ -109,15 +112,24 @@ class ArithTables:
     lam(t) = log q at the prime powers t = q**k <= L and 0 elsewhere.  The
     powers of the primes q <= isqrt(L) are `powers`, with their log q in
     `logs`; a prime q above isqrt(L) has q**2 > L, so those primes are `big`
-    alone (a view of the sieve's ascending primes), with log q in `big_logs`.
-    lam_upto fills the dense table over a prefix.
+    alone (a view of the sieve's ascending primes), with log q in `big_logs`,
+    formed on first read.  lam_upto fills the dense table over a prefix.
     """
 
     mu: np.ndarray
     powers: np.ndarray
     logs: np.ndarray
     big: np.ndarray
-    big_logs: np.ndarray
+
+    @cached_property
+    def big_logs(self) -> np.ndarray:
+        """log q of each big prime: math.log of the int q (np.log may differ
+        in the last bit), _LOG_CHUNK primes per Python list.  Only the von
+        Mangoldt sums read them, so the Mobius sums never pay for them."""
+        logs = np.empty(self.big.size)
+        for i in range(0, self.big.size, _LOG_CHUNK):
+            logs[i:i + _LOG_CHUNK] = list(map(math.log, self.big[i:i + _LOG_CHUNK].tolist()))
+        return logs
 
     def lam_upto(self, n: int) -> np.ndarray:
         """The dense von Mangoldt table over [0, n], for n <= L."""
@@ -131,7 +143,7 @@ class ArithTables:
         return lam
 
 
-# Big primes whose logs one Python list holds at a time in sieve_arith.
+# Big primes whose logs one Python list holds at a time in big_logs.
 _LOG_CHUNK = 1 << 14
 
 
@@ -155,21 +167,17 @@ def sieve_arith(L: int) -> ArithTables:
             powers.append(qk)
             logs.append(logq)
             qk *= q
-    # A prime q > isqrt(L) has q**2 > L: lam is log q at q alone (math.log of
-    # the int q; np.log may differ in the last bit) and mu only flips sign.
-    # For each m the multiples m*q of the big primes q <= L // m are
-    # distinct, so one scatter per m flips them all.  Bertrand puts a big
+    # A prime q > isqrt(L) has q**2 > L: lam is log q at q alone and mu only
+    # flips sign.  For each m the multiples m*q of the big primes q <= L // m
+    # are distinct, so one scatter per m flips them all.  Bertrand puts a big
     # prime in (isqrt(L), L], so big is never empty.
     big = primes[n_small:]
-    big_logs = np.empty(big.size)
-    for i in range(0, big.size, _LOG_CHUNK):
-        big_logs[i:i + _LOG_CHUNK] = list(map(math.log, big[i:i + _LOG_CHUNK].tolist()))
     m = np.arange(1, L // int(big[0]) + 1)
     ends = np.searchsorted(big, L // m, side="right").tolist()
     for k, end in zip(m.tolist(), ends):
         mu[k * big[:end]] *= -1
     mu[0] = 0
-    return ArithTables(mu, np.array(powers, dtype=np.int64), np.array(logs), big, big_logs)
+    return ArithTables(mu, np.array(powers, dtype=np.int64), np.array(logs), big)
 
 
 def divisor_counts(n: int) -> np.ndarray:

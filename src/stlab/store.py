@@ -13,7 +13,9 @@ In memory the rows of each prime are a sorted array of t with the matching
 traces, so one prime's parameters are looked up and stored with a few numpy
 calls (`lookup`, `put_many`).  The t array is int64 until a row of that prime
 leaves int64 (high powers in geometric progressions), and exact Python ints
-(dtype object) from then on.
+(dtype object) from then on.  One table holds every row, loaded, flushed or
+put since, and every read searches it once; the rows put since the last
+flush are also queued for the flush, which alone reads the queue.
 
 A load first reads the file as bytes, for the header, the ASCII check and
 the number n of whole body lines, before any torn tail, and drops those
@@ -102,17 +104,13 @@ class _Rows:
             ts, a = np.insert(held, i, ts), np.insert(old, i, a)
         self.by_p[p] = (ts, a)
 
-    def update(self, other: _Rows) -> None:
-        for p, (ts, a) in other.by_p.items():
-            self.add(p, ts, a)
-
 
 class TraceCache:
     def __init__(self, path: str, fingerprint: str):
         self.path = path
         self.fingerprint = fingerprint
-        self._rows = _Rows()
-        self._pending = _Rows()
+        self._rows = _Rows()  # every row held; each read searches it alone
+        self._pending = _Rows()  # the rows put since the last flush, for it alone
         self._lock = threading.Lock()  # callers may share one handle across threads
         folder = os.path.dirname(path) or "."
         if not os.path.isdir(folder):  # else flush fails only after the whole run
@@ -159,18 +157,12 @@ class TraceCache:
             )
         return data, end
 
-    def _held(self, p: int, ts: np.ndarray):
-        """(a, hit) over the stored and pending rows; hold the lock."""
-        a_old, hit_old = self._rows.find(p, ts)
-        a_new, hit_new = self._pending.find(p, ts)
-        return np.where(hit_new, a_new, a_old), hit_old | hit_new
-
     def lookup(self, p: int, ts):
         """(a, hit) for the parameters ts at p: hit[i] marks a row stored or
         pending a flush, and a[i] is its trace (0 where not hit)."""
         ts = param_array(ts)
         with self._lock:
-            return self._held(p, ts)
+            return self._rows.find(p, ts)
 
     def put_many(self, p: int, ts, a) -> None:
         """Add the rows (p, ts[i], a[i]).  A row already held must agree and is
@@ -187,11 +179,13 @@ class TraceCache:
         except OverflowError:
             raise CacheError(f"refusing record whose trace leaves int64: p={p}") from None
         with self._lock:
-            prev, held = self._held(p, ts)
+            prev, held = self._rows.find(p, ts)
             clash = np.flatnonzero(held & (prev != a))
             if clash.size:
                 i = clash[0]
                 raise CacheError(f"conflicting trace for ({p},{ts[i]}): {prev[i]} vs {a[i]}")
+            if held.all():
+                return
             ts, a = ts[~held], a[~held]
             new_t, first, where = np.unique(ts, return_index=True, return_inverse=True)
             new_a = a[first]
@@ -200,6 +194,7 @@ class TraceCache:
                 i = clash[0]
                 raise CacheError(
                     f"conflicting trace for ({p},{ts[i]}): {new_a[where[i]]} vs {a[i]}")
+            self._rows.add(p, new_t, new_a)
             self._pending.add(p, new_t, new_a)
 
     def get(self, p: int, t: int) -> int | None:
@@ -210,9 +205,10 @@ class TraceCache:
         self.put_many(rec.p, [rec.t], [rec.a])
 
     def flush(self) -> None:
-        """Append pending rows (ascending (p, t)) under an advisory lock.  A
-        file that holds another family's header, or none, is refused with the
-        load's CacheError and left as it was."""
+        """Append the rows put since the last flush (ascending (p, t)) under an
+        advisory lock.  A file that holds another family's header, or none, is
+        refused with the load's CacheError and left as it was, and the rows
+        stay held and queued."""
         if not len(self._pending):
             return
         try:
@@ -233,7 +229,6 @@ class TraceCache:
                     fcntl.flock(fd, fcntl.LOCK_UN)
         except OSError as e:
             raise CacheError(f"{self.path}: cannot write: {e.strerror}") from None
-        self._rows.update(self._pending)
         self._pending = _Rows()
 
     def close(self) -> None:
@@ -247,17 +242,17 @@ class TraceCache:
         return False
 
     def __len__(self):
-        return len(self._rows) + len(self._pending)
+        return len(self._rows)
 
     def keys(self) -> list[tuple[int, int]]:
         """The (p, t) keys stored in the file or pending a flush."""
         with self._lock:
-            return self._rows.keys() + self._pending.keys()
+            return self._rows.keys()
 
     def primes(self) -> list[int]:
         """The primes of the rows stored in the file or pending a flush, ascending."""
         with self._lock:
-            return sorted(self._rows.by_p.keys() | self._pending.by_p.keys())
+            return sorted(self._rows.by_p)
 
 
 def _read(path: str) -> bytes:

@@ -907,6 +907,60 @@ def test_geometric_powers_past_the_budget_refused_before_any_power(lam, T, refus
                         r"need about \S+ GB, above the 0.4 GB budget\n", err)
 
 
+def _refused_or_reached(argv, refusal, builders, monkeypatch, capsys):
+    """run(argv) with builders patched to stop it: exit 3 with refusal (the
+    stderr line) before any of them and no large allocation, or, with
+    refusal None, exit 1 at the first builder."""
+    def stop(*args, **kwargs):
+        raise ValueError("reached the builder")
+
+    for name in builders:
+        monkeypatch.setattr(name, stop)
+    tracemalloc.start()
+    try:
+        code = run(argv)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    if refusal is None:
+        assert (code, captured.err) == (1, "error: reached the builder\n")
+    else:
+        assert (code, captured.err) == (3, f"refused: {refusal}\n")
+        assert peak < 4 << 20
+
+
+@pytest.mark.parametrize("bins, refused", [(1_000_000, False), (1_000_001, True)],
+                         ids=["at", "past"])
+def test_bins_above_limit_refused_before_the_sample(bins, refused, monkeypatch, capsys):
+    # every run builds one histogram row per bin, with or without --csv and --svg
+    refusal = f"bins={bins} exceeds the 1000000 limit" if refused else None
+    _refused_or_reached(["angles", *FAM, "-p", "101", "--bins", str(bins)], refusal,
+                        ["stlab.cli.angle_sample"], monkeypatch, capsys)
+
+
+# CHARSUM_WORK_LIMIT = 2**27 units: n_max (times count when sampled) passes
+# of period + 256 units each, the period 100 at p = 101 and r with --subgroup-r
+@pytest.mark.parametrize("args, at, last, period", [
+    (["--n-max"], "n_max", 377016, 100),
+    (["--n-max", "2", "--mode", "sampled", "--seed", "7", "--count"], "count", 188508, 100),
+    (["--subgroup-r", "50", "--n-max"], "n_max", 438620, 50),
+], ids=["n-max", "count", "subgroup-n-max"])
+@pytest.mark.parametrize("refused", [False, True], ids=["at", "past"])
+def test_charsum_work_above_limit_refused_before_the_table(args, at, last, period, refused,
+                                                           monkeypatch, capsys):
+    value = last + refused
+    n_max = value if at == "n_max" else 2
+    sampled = f", count={value}" if at == "count" else ""
+    work = n_max * (value if at == "count" else 1) * (period + 256)
+    refusal = (f"n_max={n_max}{sampled} over {period} values is {work} work units, "
+               "above the 134217728 limit") if refused else None
+    _refused_or_reached(["verify", "charsum", *FAM, "-p", "101", *args, str(value)], refusal,
+                        ["stlab.experiments.ResidueTable.build",
+                         "stlab.experiments.residue_traces"], monkeypatch, capsys)
+
+
 @pytest.mark.parametrize("flag", ["--set-u", "--set-v"])
 @pytest.mark.parametrize("text", ["1..", "..3", "1..x", "1,,2", "a"])
 @pytest.mark.parametrize("command", sorted(PRODUCT_COMMANDS))

@@ -630,7 +630,7 @@ def _edge_cuts(L):
 
 @pytest.mark.parametrize("p", [5, 101, 1009])
 def test_psi_of_t_tiles_one_period(fam_zz, p):
-    # the in-place tiling against psi read as res_vals[t % p], byte for byte:
+    # the tiling against psi read as res_vals[t % p], byte for byte:
     # L ends inside, at and just past a period, and past several
     for L in (1, p - 1, p, p + 1, 2 * p, 3 * p + 5):
         for n, psi_fn in ((1, None), (3, None), (1, lambda t: math.cos(t) / t)):
@@ -676,10 +676,11 @@ def test_identity_sums_match_the_per_row_loops(fam_zz, L, monkeypatch):
 
 @pytest.mark.parametrize("what, bound", [("sieve", 6), ("vaughan", 12), ("mobius", 11)])
 def test_identity_sums_traced_peak(fam_zz, what, bound):
-    # at L = 10**6 the sieve holds the int8 mu, the primes and the logs of
-    # the big ones (no L-long float64 array), and each sum holds psi as its
-    # one L-long float64 array, besides mu: another such array would take
-    # either sum past its bound
+    # at L = 10**6 the sieve holds the int8 mu and the primes (no L-long
+    # float64 array; the big primes' logs are formed on first read, which
+    # vaughan makes before psi), and each sum holds psi as its one L-long
+    # float64 array, besides mu: another such array would take either sum
+    # past its bound
     L = 10**6
     call = {"sieve": lambda: sieve_arith(L),
             "vaughan": lambda: ex.vaughan_decompose(fam_zz, 1009, L),

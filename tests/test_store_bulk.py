@@ -389,6 +389,57 @@ def test_put_many_keeps_rows_once_and_refuses_whole_batches(fam_zz, tmp_path):
     assert a.tolist() == [6, -5, 0] and hit.tolist() == [True, True, False]
 
 
+def test_one_table_serves_every_read(fam_zz, tmp_path, monkeypatch):
+    # loaded, flushed and newly put rows live in one table: lookup and
+    # put_many search it once, and len, keys and primes see each row once,
+    # before a flush, after it and after a refused one.  Only the rows put
+    # since the last flush are queued for it, never a row already held
+    searched = []
+    find = store._Rows.find
+
+    def counted(self, p, ts):
+        searched.append(p)
+        return find(self, p, ts)
+
+    monkeypatch.setattr(store._Rows, "find", counted)
+    path = tmp_path / "c.txt"
+    with open_cache(str(path), fam_zz) as cache:
+        cache.put_many(5, [1, 2], [2, -1])
+    cache = open_cache(str(path), fam_zz)
+    want = {(5, 1): 2, (5, 2): -1}
+
+    def put(p, rows):
+        searched.clear()
+        cache.put_many(p, list(rows), list(rows.values()))
+        assert searched == [p]
+        want.update({(p, t): a for t, a in rows.items()})
+
+    def check(queued):
+        assert len(cache) == len(want)
+        assert sorted(cache.keys()) == sorted(want)
+        assert cache.primes() == sorted({p for p, _ in want})
+        for p in cache.primes():
+            ts = [t for q, t in want if q == p] + [12]
+            searched.clear()
+            a, hit = cache.lookup(p, ts)
+            assert searched == [p]
+            assert hit.tolist() == [True] * (len(ts) - 1) + [False]
+            assert a.tolist() == [want[(p, t)] for t in ts[:-1]] + [0]
+            put(p, dict(zip(ts[:-1], a[:-1].tolist())))  # every row held
+        assert sorted(cache._pending.keys()) == sorted(queued)
+
+    put(5, {3: 0})  # a loaded prime
+    put(7, {1: 3, 3 * BIG: -4})  # a new one
+    check([(5, 3), (7, 1), (7, 3 * BIG)])
+    cache.flush()
+    check([])
+    put(11, {1: 2})
+    path.write_text("# stlab-cache v1 family=0123456789abcdef\n")
+    with pytest.raises(CacheError, match="belongs to family 0123456789abcdef"):
+        cache.flush()
+    check([(11, 1)])
+
+
 def test_big_rows_promote_a_prime_that_holds_int64_rows(fam_zz, tmp_path):
     # 101 holds int64 rows, stored and pending, when a later batch brings
     # t = 2^63 and -2^63 - 1; its neighbours keep int64 rows only
