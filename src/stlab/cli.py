@@ -253,6 +253,8 @@ def _angles(args, fam, iv):
     p = args.prime
     require_prime_above_3(p)  # a subgroup or progression mod a non-prime is undefined
     require_table_size(p)
+    if args.bins < 1:  # emit_histogram's own check, made before the sample is traced
+        raise ValueError("bins must be >= 1")
     require_size(args.bins, BINS_LIMIT, "bins")
     params, desc = _angles_params(args, p)
     sample = angle_sample(fam, p, params)

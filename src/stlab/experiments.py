@@ -90,6 +90,23 @@ MIXED_X_LIMIT = TABLE_LIMIT
 CHARSUM_WORK_LIMIT = 1 << 27
 _PASS_COST = 256
 
+# charsum_verify holds the residue table, the traces over F_p* and one batch
+# of complex rows at a time: about 210 bytes per unit of p over the
+# interpreter's own, whatever n_max (ru_maxrss at --n-max 5: +102.0, +202.2
+# and +402.6 MiB at p = 500009, 1000003 and 2000003; 250 bytes before the
+# rows shared one in-place batch), so 1.47 GB at CHARSUM_PRIME_LIMIT.  A
+# larger p is refused before the residue table is built.
+CHARSUM_PRIME_LIMIT = 7_000_000
+
+# exhaustive charsum_verify transforms its sym_n rows in batches of at most
+# CHARSUM_BATCH_ELEMENTS complex values, one numpy.fft call per batch.  A call
+# sets up its plan once (at a length with a large prime factor, such as
+# 10006 = 2 * 5003, pocketfft's Bluestein set-up), and it transforms each row
+# of a batch exactly as it would that row alone.  One ifft of length 10006
+# took 1.31 ms, and five rows in one call 0.66 ms each (2 vCPUs, numpy
+# 2.4.6).  The cap keeps a batch at 4 MiB: near p = 10**6 it is one row.
+CHARSUM_BATCH_ELEMENTS = 1 << 18
+
 
 # ---------------------------------------------------------------------------
 # report records
@@ -383,6 +400,8 @@ def charsum_verify(fam: FamilyPoly, p: int, n_max: int, mode: str = "exhaustive"
     # with h = g^((p-1)/r)
     step = 1 if subgroup_r is None else subgroup_index(p, subgroup_r)
     period = (p - 1) // step
+    if p > CHARSUM_PRIME_LIMIT:
+        raise RefusedError(f"character sums at p={p} exceed the {CHARSUM_PRIME_LIMIT} limit")
     work = n_max * (count if mode == "sampled" else 1) * (period + _PASS_COST)
     if work > CHARSUM_WORK_LIMIT:
         sampled = f", count={count}" if mode == "sampled" else ""
@@ -404,30 +423,54 @@ def charsum_verify(fam: FamilyPoly, p: int, n_max: int, mode: str = "exhaustive"
         s_eval = np.sort(rng.integers(0, p - 1, size=count))
         mode_str = f"sampled(seed={seed},count={count})"
 
-    reports = []
-    for n, u in sym_terms(z, n_max):
-        y = u * mask  # zero at bad slots
-        bound = (n + 1) * bound_unit
-        if s_eval is None:
-            # S(chi_s) = sum_z y[z] e(+ s z / period): inverse DFT scaled by length
-            S = np.fft.ifft(y) * period
-            mags = np.abs(S)
-            worst = int(np.argmax(mags))
-            max_abs = float(mags[worst])
-            if max_abs > bound + 1e-6:
-                raise RuntimeError(
-                    f"character-sum bound violated at p={p}, n={n}: "
-                    f"{max_abs} > {bound} (bug)")
-        else:
-            zs = np.arange(period, dtype=np.float64)
+    if s_eval is None:
+        rows = _charsum_rows(z, mask, n_max, p, bound_unit)
+    else:
+        rows = []
+        zs = np.arange(period, dtype=np.float64)
+        for n, u in sym_terms(z, n_max):
+            y = u * mask  # zero at bad slots
             max_abs, worst = -1.0, 0
             for s in s_eval:
                 # characters repeat with period `period` on the ordered values
                 val = abs(np.sum(y * np.exp(2j * math.pi * ((s % period) * zs) / period)))
                 if val > max_abs:
                     max_abs, worst = float(val), int(s)
-        reports.append(CharSumReport(p, n, mode_str, max_abs, bound, worst, subgroup_r))
-    return reports
+            rows.append((n, max_abs, worst))
+    return [CharSumReport(p, n, mode_str, max_abs, (n + 1) * bound_unit, worst, subgroup_r)
+            for n, max_abs, worst in rows]
+
+
+def _charsum_rows(z, mask, n_max: int, p: int, bound_unit: float):
+    """(n, max_abs, worst) over every character, each row checked against its bound.
+
+    S(chi_s) = sum_z y[z] e(+ s z / period) is the inverse DFT of the row
+    y = U_n(z) * mask, scaled by its length.  The rows of a batch share one
+    complex array and one transform, in place.
+    """
+    period = mask.size
+    terms = sym_terms(z, n_max)
+    rows = min(n_max, max(1, CHARSUM_BATCH_ELEMENTS // period))
+    batch = np.empty((rows, period), dtype=complex)
+    out = []
+    for n0 in range(1, n_max + 1, rows):
+        S = batch[:n_max + 1 - n0]  # the last batch may be short
+        S.imag = 0.0
+        for row, (_, u) in zip(S.real, terms):
+            np.multiply(u, mask, out=row)  # zero at bad slots
+        np.fft.ifft(S, axis=1, out=S)
+        S *= period
+        for n, row in enumerate(S, start=n0):
+            mags = np.abs(row)
+            worst = int(np.argmax(mags))
+            max_abs = float(mags[worst])
+            bound = (n + 1) * bound_unit
+            if max_abs > bound + 1e-6:
+                raise RuntimeError(
+                    f"character-sum bound violated at p={p}, n={n}: "
+                    f"{max_abs} > {bound} (bug)")
+            out.append((n, max_abs, worst))
+    return out
 
 
 # ---------------------------------------------------------------------------

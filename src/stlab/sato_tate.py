@@ -130,7 +130,10 @@ def _star(u: np.ndarray) -> float:
 def _interval_exact(u: np.ndarray) -> float:
     """The exact interval discrepancy from the sorted CDF transform u (nonempty)."""
     m = u.size
-    vals, counts = np.unique(u, return_counts=True)
+    # u is sorted, so its distinct values start the runs of equal entries
+    starts = np.flatnonzero(np.concatenate(([True], u[1:] != u[:-1])))
+    vals = u[starts]
+    counts = np.diff(np.append(starts, m))
     cum = np.cumsum(counts)  # points <= vals[k]
     grid = np.concatenate(([0.0], vals, [1.0]))
     le = np.concatenate(([0], cum, [m])).astype(np.float64)  # points <= grid point

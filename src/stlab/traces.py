@@ -348,8 +348,13 @@ def residue_angles(fam: FamilyPoly, p: int, params):
     """Per-parameter (psis, good) arrays in input order, psi NaN at bad reduction.
 
     params may repeat (multiset semantics); each distinct residue is traced once.
+    The full field in order, p strictly increasing residues, is traced as it
+    stands, with no sort and no gather.
     """
-    ws, where = np.unique(_residues(params, p), return_inverse=True)
+    ws = _residues(params, p)
+    where = None
+    if not (ws.size == p and (ws[1:] > ws[:-1]).all()):
+        ws, where = np.unique(ws, return_inverse=True)
     a_vec, good = residue_traces(fam, p, ws)
     del ws
     a_good = a_vec if good.all() else a_vec[good]
@@ -357,6 +362,8 @@ def residue_angles(fam: FamilyPoly, p: int, params):
     psi_of = np.full(good.size, np.nan)
     psi_of[good] = acos_once(a_good, lambda v: v / (2.0 * math.sqrt(p)))
     del a_good
+    if where is None:
+        return psi_of, good
     return psi_of[where], good[where]
 
 

@@ -576,9 +576,13 @@ def test_report_bytes_pinned(case, tmp_path, capsys, monkeypatch):
 # The sums commands at the sizes of the benchmark's sums workload (p = 1009,
 # L = 10**6, x = 3 * 10**5), for f = g = Z and for the family that seed 1 of
 # the benchmark draws; digests taken as above, recorded at commit e0b4675,
-# before the sums loops became array passes.
+# before the sums loops became array passes.  The four commands of the
+# benchmark's vertical workload at seed 0 follow, recorded at commit 23937ed,
+# before charsum_verify batched its transforms and before residue_angles and
+# _interval_exact dropped their sorts.
 BENCH_SIZE_FAMILIES = {"zz": ["--f", "0,1", "--g", "0,1"],
                        "seed1": ["--f=-4,-6,-5", "--g=1,-9,5"]}
+VERTICAL_FAM = ["--f=0,1", "--g=0,1"]
 BENCH_SIZE_CASES = {
     **{f"{kind}-{name}-n{n}": ["sums", kind, *fam, "-p", "1009", "-L", "1000000",
                                "-n", str(n)]
@@ -589,6 +593,10 @@ BENCH_SIZE_CASES = {
                          "--alpha-exp", "0.5"],
     "orders-lam-6-half": ["sums", "orders", "-x", "300000", "--lam", "-6",
                           "--alpha-exp", "0.5"],
+    **{f"vertical-angles-{p}": ["angles", *VERTICAL_FAM, "-p", str(p), "--kind", "full"]
+       for p in (1009, 10007, 20011)},
+    "vertical-charsum-10007": ["verify", "charsum", *VERTICAL_FAM, "-p", "10007",
+                               "--n-max", "5", "--mode", "exhaustive"],
 }
 BENCH_SIZE_DIGESTS = {
     "vaughan-zz-n1": "9758449a15bdb0e913e5040209cfdf5af376b08f077cc108c4d76d4ff5366428",
@@ -602,12 +610,34 @@ BENCH_SIZE_DIGESTS = {
     "orders-lam2": "392c2e4eebc76caae7985ba2df8745553d2f40e78871828a3e3adfbcb6a8f727",
     "orders-lam2-half": "f8fa6144d1d05d560f37b3cc3cc75345bbda19dfcfea234789f7d0d8e546c130",
     "orders-lam-6-half": "f9b1a8f277843f4721b70e5aa39759465cdcd9ae26a128a4fa27b6df7073b4a0",
+    "vertical-angles-1009": "09dbee181b106f4afbbb73e63755144025565635cad21884dac5e9c8b4220fdb",
+    "vertical-angles-10007": "b66adf11f32b5a400db86e47d2ae765883d6a210eb68582ff7e6aaafaf6b3dba",
+    "vertical-angles-20011": "67eaf5d808a549c9828cffa2f5c08a41adffe3f34e62219b475c14684fc4babe",
+    "vertical-charsum-10007": "ac44cdc11b9129ee7256de2b9bdfbdb18d2b44302e6a86658d907b489a1046f0",
 }
 
 
 @pytest.mark.parametrize("case", sorted(BENCH_SIZE_CASES))
 def test_report_bytes_pinned_at_benchmark_size(case, capsys):
     assert report_digests([BENCH_SIZE_CASES[case]], capsys) == [BENCH_SIZE_DIGESTS[case]]
+
+
+@pytest.mark.parametrize("batch_elements", [1, 4 * 10006, None],
+                         ids=["one-row", "four-rows", "default"])
+def test_charsum_report_bytes_do_not_depend_on_the_batch(batch_elements, monkeypatch,
+                                                          capsys):
+    # the default batch holds all 15 rows of period 10006 in one transform;
+    # one element per batch still gives one row, so 15 transforms, and four
+    # rows give batches of 4, 4, 4 and 3.  The digest was recorded at commit
+    # 23937ed, one transform per row.
+    from stlab import experiments
+    if batch_elements is None:
+        assert experiments.CHARSUM_BATCH_ELEMENTS >= 15 * 10006
+    else:
+        monkeypatch.setattr(experiments, "CHARSUM_BATCH_ELEMENTS", batch_elements)
+    argv = ["verify", "charsum", *VERTICAL_FAM, "-p", "10007", "--n-max", "15"]
+    assert report_digests([argv], capsys) == [
+        "c5a83abc47929c445165f2c0fb5c011c0468d21c554780582e5f82278fd441af"]
 
 
 def readme_commands():
@@ -938,6 +968,29 @@ def test_bins_above_limit_refused_before_the_sample(bins, refused, monkeypatch, 
     refusal = f"bins={bins} exceeds the 1000000 limit" if refused else None
     _refused_or_reached(["angles", *FAM, "-p", "101", "--bins", str(bins)], refusal,
                         ["stlab.cli.angle_sample"], monkeypatch, capsys)
+
+
+@pytest.mark.parametrize("bins", ["0", "-1"])
+def test_bins_below_one_refused_before_the_sample(bins, monkeypatch, capsys):
+    def stop(*args, **kwargs):
+        raise ValueError("reached the sample")
+
+    monkeypatch.setattr("stlab.cli.angle_sample", stop)
+    code = run(["angles", *FAM, "-p", "101", "--bins", bins])
+    captured = capsys.readouterr()
+    assert (code, captured.out, captured.err) == (1, "", "error: bins must be >= 1\n")
+
+
+# CHARSUM_PRIME_LIMIT = 7 * 10**6: 6999997 is the largest prime at or below it
+# and 7000003 the first above (both below the 2**23 table limit)
+@pytest.mark.parametrize("p, refused", [(6999997, False), (7000003, True)],
+                         ids=["at", "past"])
+def test_charsum_prime_above_limit_refused_before_the_table(p, refused, monkeypatch,
+                                                            capsys):
+    refusal = f"character sums at p={p} exceed the 7000000 limit" if refused else None
+    _refused_or_reached(["verify", "charsum", *FAM, "-p", str(p), "--n-max", "1"], refusal,
+                        ["stlab.experiments.ResidueTable.build",
+                         "stlab.experiments.residue_traces"], monkeypatch, capsys)
 
 
 # CHARSUM_WORK_LIMIT = 2**27 units: n_max (times count when sampled) passes

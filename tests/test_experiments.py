@@ -756,6 +756,33 @@ def test_numpy_reduction_order_canary():
     assert row.sum() != np.cumsum(row)[-1]
 
 
+def test_numpy_batched_ifft_and_runs_canary():
+    # charsum_verify writes real rows into one complex array and transforms
+    # them with one in-place ifft, and _interval_exact takes the distinct
+    # values and counts of a sorted array from its runs.  Reports stay
+    # byte-identical only while each batched row is that row's own ifft bit
+    # for bit, and while the runs are np.unique's.  A numpy that changes
+    # either fails here.  10006 and 1000002 take pocketfft's Bluestein path;
+    # near 10**6 a batch is one row, so two rows suffice there.
+    rng = np.random.default_rng(0)
+    for n, most in ((10006, 15), (1000002, 2), (1024, 15), (10000, 15), (10**6, 2)):
+        for rows in range(1, most + 1):
+            y = rng.standard_normal((rows, n))
+            y[:, rng.integers(0, n, n // 10)] = 0.0
+            S = np.zeros((rows, n), dtype=complex)
+            for i in range(rows):
+                S.real[i] = y[i]
+            np.fft.ifft(S, axis=1, out=S)
+            for i in range(rows):
+                assert S[i].tobytes() == np.fft.ifft(y[i]).tobytes(), (n, rows, i)
+    for size, distinct in ((1, 1), (7, 2), (1000, 40), (10**5, 10**5)):
+        u = np.sort(rng.integers(0, distinct, size) / distinct)
+        starts = np.flatnonzero(np.concatenate(([True], u[1:] != u[:-1])))
+        vals, counts = np.unique(u, return_counts=True)
+        assert u[starts].tobytes() == vals.tobytes()
+        assert np.diff(np.append(starts, size)).tolist() == counts.tolist()
+
+
 def test_full_field_niederreiter_diagnostic(fam_zz, capsys):
     # the bracket carries an unknown implied constant: record the observed
     # ratio C for the full-field vertical sample, assert nothing about it
