@@ -111,8 +111,19 @@ def emit_histogram(sample: AngleSample, bins: int):
     return rows
 
 
+@contextlib.contextmanager
+def _output(path: str):
+    """The text file at path, open for writing; a failed open or write is a
+    usage error (exit 1)."""
+    try:
+        with open(path, "w", encoding="ascii") as fh:
+            yield fh
+    except OSError as e:
+        raise ValueError(f"{path}: cannot write: {e.strerror}") from None
+
+
 def _write_csv(path: str, rows) -> None:
-    with open(path, "w", encoding="ascii") as fh:
+    with _output(path) as fh:
         fh.write("bin_lo,bin_hi,count,st_mass\n")
         for lo, hi, count, mass in rows:
             fh.write(f"{lo:.6f},{hi:.6f},{count},{mass:.6f}\n")
@@ -147,7 +158,7 @@ def _write_svg(path: str, rows, m: int) -> None:
     parts.append(f'<line x1="{pad}" y1="{height - pad}" x2="{width - pad}" '
                  f'y2="{height - pad}" stroke="black"/>')
     parts.append("</svg>")
-    with open(path, "w", encoding="ascii") as fh:
+    with _output(path) as fh:
         fh.write("\n".join(parts) + "\n")
 
 

@@ -32,8 +32,15 @@ from .param_sets import (
     subgroup,
     subgroup_index,
 )
-from .sato_tate import Interval, chebyshev_U, mu_st, sym_terms
-from .traces import acos_once, batch_traces, param_array, residue_angles, residue_traces
+from .sato_tate import Interval, chebyshev_U, mu_st, sym_sum, sym_terms
+from .traces import (
+    acos_once,
+    angle_sample,
+    batch_traces,
+    param_array,
+    residue_angles,
+    residue_traces,
+)
 
 PRIME2_NOTE = "bracket omits the L^(c/log log L) factor; c is not effective"
 
@@ -62,6 +69,19 @@ PRIME_SUM_LIMIT = 10**8
 # above that figure (ru_maxrss 8-52% above).  mixed_geometric refuses a T
 # and lam whose powers would pass POWERS_BUDGET bytes by it.
 POWERS_BUDGET = 4 * 10**8
+# mixed_geometric --cache writes a row `p,t,a` for each prime p <= x and
+# good t = lam^1 .. lam^T, whose decimal t alone take about
+# T^2 log10|lam| / 2 bytes per prime, and a warm run loads them all.  Over
+# the interpreter's own, a warm run held about 40 bytes per row when every t
+# fits int64 (numpy's loader; ru_maxrss at x = 2 * 10**4 and 8 * 10**4,
+# lam = 2, T = 60: 42 and 38) and 290 bytes per row plus 2.5 per byte of
+# the file otherwise (the exact line parser, one Python int per t; at
+# x = 4000, T = 63 and 120, and x = 1000, T = 300 and 600, lam = 2: 335, 339,
+# 408 and 533 bytes per row).  mixed_geometric charges 48 and 290 + 2.5 per
+# byte, with at most 2 len(str(x)) + 5 + t log10|lam| bytes in row t and
+# fewer than 1.25506 x / log x primes (Rosser and Schoenfeld), and with a
+# cache attached refuses a run past CACHE_BUDGET bytes by that charge.
+CACHE_BUDGET = 4 * 10**8
 # L of the prime parameter sets (angles --kind primes, experiment
 # vertical-primes and mixed-primes).  Over the interpreter's own, the first
 # two peak at about 5.5 bytes per unit of L and mixed-primes at about 7 (the
@@ -80,15 +100,25 @@ MIXED_X_LIMIT = TABLE_LIMIT
 # in sampled mode, one character sum each; a pass costs one unit per value
 # and _PASS_COST more (its Python work and report).  A unit took 100 ns
 # exhaustive at p = 10007 (--n-max 50 and 200) and 290 ns at p = 1000003
-# (5 and 20), 32 ns sampled at p = 10007 (--n-max 2, --count 100 and 1000)
-# and 55 ns at p = 100003 (1, 100 and 400), and a pass 30 us at p = 5
-# (--n-max 10**4 and 10**5), so a run at the limit takes 5-40 s.  Each pass
+# (5 and 20), 15 ns sampled at p = 10007 (--n-max 2, --count 100 and 1000)
+# and 32 ns at p = 100003 (1, 100 and 400; 25 and 39 ns when each character
+# was formed once per n), and a pass 30 us at p = 5 (--n-max 10**4 and
+# 10**5), so a run at the limit takes 5-40 s.  Each pass
 # holds about 600 bytes of report over the interpreter's own (ru_maxrss at
 # p = 5), 0.3 GB at the limit, and each sampled character 16 bytes more.
 # charsum_verify refuses more than CHARSUM_WORK_LIMIT units before the
 # residue table is built.
 CHARSUM_WORK_LIMIT = 1 << 27
 _PASS_COST = 256
+# Work of the sym_n sums of sums vaughan, sums mobius and sums prime-sym:
+# U_n is n steps of its recurrence over the values summed (the p residues, or
+# at most L primes), a step costing one unit per value and _STEP_COST more.
+# A unit took 1.3-3 ns (10**4 and 10**6 values, n = 20 and 200) and a step
+# over three values 1.3 us (n = 10**5 and 10**6), so the recurrence of a run
+# at the limit takes 5-13 s.  Each sum refuses more than SYM_WORK_LIMIT units
+# before any sieve.
+SYM_WORK_LIMIT = 1 << 32
+_STEP_COST = 1024
 
 # charsum_verify holds the residue table, the traces over F_p* and one batch
 # of complex rows at a time: about 210 bytes per unit of p over the
@@ -203,6 +233,14 @@ def _require_nondeg_global(fam: FamilyPoly):
 def _require_degree(n: int):
     if n < 1:
         raise ValueError(f"sym degree n must be >= 1, got {n}")
+
+
+def _require_sym_work(n: int, values: int):
+    """Refuse n recurrence steps over `values` values past SYM_WORK_LIMIT."""
+    work = n * (values + _STEP_COST)
+    if work > SYM_WORK_LIMIT:
+        raise RefusedError(f"sym degree n={n} over {values} values is {work} work units, "
+                           f"above the {SYM_WORK_LIMIT} limit")
 
 
 def _vertical_report(fam, p, descriptor, elements, iv, bracket, note=""):
@@ -347,6 +385,17 @@ def mixed_geometric(fam: FamilyPoly, x: int, lam: int, T: int, iv: Interval,
     if need > POWERS_BUDGET:
         raise RefusedError(f"T={T} powers of a {abs(lam).bit_length()}-bit lambda need about "
                            f"{need / 1e9:.2g} GB, above the {POWERS_BUDGET / 1e9:g} GB budget")
+    if cache is not None:  # bytes, by the CACHE_BUDGET comment
+        primes = 1.25506 * x / math.log(x)
+        if T * math.log2(abs(lam)) < 63:
+            need = primes * T * 48
+        else:
+            chars = T * (2 * len(str(x)) + 5) + math.log10(abs(lam)) * T * (T + 1) / 2
+            need = primes * (290 * T + 2.5 * chars)
+        if need > CACHE_BUDGET:
+            raise RefusedError(f"cache rows of T={T} powers of a {abs(lam).bit_length()}-bit "
+                               f"lambda at x={x} need about {need / 1e9:.2g} GB, above the "
+                               f"{CACHE_BUDGET / 1e9:g} GB budget")
     d = erdos_delta()
     return _run_mixed(fam, x, [lam**t for t in range(1, T + 1)], [1] * T, iv,
                       f"mixed-geom:x={x}:lambda={lam}:T={T}",
@@ -417,26 +466,22 @@ def charsum_verify(fam: FamilyPoly, p: int, n_max: int, mode: str = "exhaustive"
 
     if mode == "exhaustive":
         mode_str = "exhaustive"
-        s_eval = None
-    else:
-        rng = np.random.default_rng(seed)
-        s_eval = np.sort(rng.integers(0, p - 1, size=count))
-        mode_str = f"sampled(seed={seed},count={count})"
-
-    if s_eval is None:
         rows = _charsum_rows(z, mask, n_max, p, bound_unit)
     else:
-        rows = []
+        mode_str = f"sampled(seed={seed},count={count})"
+        # (max_abs, worst) per n; the first s of a maximal value keeps it.  Each
+        # character is formed once and the recurrence re-run under it, so no
+        # n_max rows are held.
+        best = [(-1.0, 0)] * n_max
         zs = np.arange(period, dtype=np.float64)
-        for n, u in sym_terms(z, n_max):
-            y = u * mask  # zero at bad slots
-            max_abs, worst = -1.0, 0
-            for s in s_eval:
-                # characters repeat with period `period` on the ordered values
-                val = abs(np.sum(y * np.exp(2j * math.pi * ((s % period) * zs) / period)))
-                if val > max_abs:
-                    max_abs, worst = float(val), int(s)
-            rows.append((n, max_abs, worst))
+        for s in np.sort(np.random.default_rng(seed).integers(0, p - 1, size=count)):
+            # characters repeat with period `period` on the ordered values
+            e = np.exp(2j * math.pi * ((s % period) * zs) / period)
+            for n, u in sym_terms(z, n_max):
+                val = abs(np.sum(u * mask * e))  # zero at bad slots
+                if val > best[n - 1][0]:
+                    best[n - 1] = (float(val), int(s))
+        rows = [(n, *nb) for n, nb in enumerate(best, start=1)]
     return [CharSumReport(p, n, mode_str, max_abs, (n + 1) * bound_unit, worst, subgroup_r)
             for n, max_abs, worst in rows]
 
@@ -477,14 +522,6 @@ def _charsum_rows(z, mask, n_max: int, p: int, bound_unit: float):
 # single and bilinear sums (exact values with diagnostic brackets)
 
 
-def _sym_over_params(fam: FamilyPoly, p: int, params, n: int):
-    """sum of sym_n(psi(E(t))) over parameters with good reduction."""
-    psis, good = residue_angles(fam, p, params)
-    if not good.any():
-        return 0.0
-    return float(np.sum(chebyshev_U(n, np.cos(psis[good]))))
-
-
 def incomplete_geom_sum(fam: FamilyPoly, p: int, lam: int, T: int, n: int):
     """Exact sum over lam^t, t <= T (T at most the order); bracket n sqrt(p) log p."""
     _require_degree(n)
@@ -493,7 +530,7 @@ def incomplete_geom_sum(fam: FamilyPoly, p: int, lam: int, T: int, n: int):
     if T > r:
         raise ValueError(f"T={T} exceeds the multiplicative order {r}")
     pset = geometric(lam, T, p)
-    value = _sym_over_params(fam, p, pset.elements, n)
+    value = sym_sum(angle_sample(fam, p, pset.elements), n).real
     return value, n * math.sqrt(p) * math.log(p)
 
 
@@ -507,7 +544,7 @@ def interval_sum(fam: FamilyPoly, p: int, k: int, M: int, N: int, n: int):
     if N == 0:
         return 0.0, n * math.sqrt(p) * math.log(p)
     params = [k * m for m in range(M + 1, M + N + 1)]
-    value = _sym_over_params(fam, p, params, n)
+    value = sym_sum(angle_sample(fam, p, params), n).real
     return value, n * (N / math.sqrt(p) + math.sqrt(p) * math.log(p))
 
 
@@ -649,6 +686,7 @@ def vaughan_decompose(fam: FamilyPoly, p: int, L: int, K: float | None = None,
     _require_degree(n)
     K, M = _cuts(L, K, M)
     _require_nondeg_mod_p(fam, p)
+    _require_sym_work(n, p)
     tables = sieve_arith(L)
     big_logs = tables.big_logs  # before psi, so that forming them adds nothing to its peak
     psi = _psi_of_t(fam, p, L, n, psi_fn)
@@ -696,8 +734,9 @@ def prime_sym_sum(fam: FamilyPoly, p: int, L: int, n: int):
         raise ValueError("L must be >= 2")
     require_size(L, PRIME_SUM_LIMIT, "L")
     _require_nondeg_mod_p(fam, p)
+    _require_sym_work(n, L)
     ells = prime_array(L)
-    value = _sym_over_params(fam, p, ells, n)
+    value = sym_sum(angle_sample(fam, p, ells), n).real
     bracket = L / math.sqrt(p) + L ** (5.0 / 6.0) + math.sqrt(L * p)
     prime1 = n**1.0 * len(ells) * (1.0 + p / L) ** (1.0 / 12.0) * p**-(1.0 / 48.0)
     return value, bracket, prime1
@@ -709,6 +748,7 @@ def mobius_sums(fam: FamilyPoly, p: int, L: int, n: int, K: float | None = None,
     _require_degree(n)
     K, M = _cuts(L, K, M)
     _require_nondeg_mod_p(fam, p)
+    _require_sym_work(n, p)
     mu = sieve_arith(L).mu  # lambda goes at once, its big primes' logs never formed
     psi = _psi_of_t(fam, p, L, n)
 

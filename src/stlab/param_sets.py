@@ -208,12 +208,21 @@ ORDERS_LIMIT = 10**8
 # pass, at the same speed (2 vCPUs, numpy 2.4.6).
 _ORDER_BLOCK = 4096
 
+# log of the largest double, 709.7827..., rounded down
+_LOG_FLOAT_MAX = 709.78
+
 
 def order_sum(x: int, lam: int, alpha: float) -> float:
     """sum over primes p <= x, p not dividing lam, of 1 / ord_p(lam)^alpha."""
     if abs(lam) <= 1:
         raise ValueError("|lambda| must exceed 1")
     require_size(x, ORDERS_LIMIT, "x")
+    # each order r has 1 <= r < x and there are fewer than x terms, so this
+    # keeps r**alpha, every term and the total finite and nonzero; it refuses
+    # nan and +-inf too
+    if not (abs(alpha) + 1) * math.log(max(x, 2)) <= _LOG_FLOAT_MAX:
+        raise ValueError(f"alpha={alpha} takes 1 / ord**alpha out of the float range "
+                         f"at x={x}")
     spf = _least_prime_factors(x)
     primes = np.flatnonzero(spf == 0)[2:]  # 0 and 1 are no primes
     total = 0.0

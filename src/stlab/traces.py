@@ -326,10 +326,7 @@ def batch_traces(p: int, fam: FamilyPoly, ts, cache=None):
         a_w, good_w = np.zeros(len(ws), dtype=np.int64), np.zeros(len(ws), dtype=bool)
     pending = np.flatnonzero(~good_w)  # a cached row is good by construction
     if pending.size:
-        tbl = ResidueTable.build(p)
-        a_pend, good_pend = residue_traces(fam, p, ws[pending], tbl)
-        a_w[pending] = a_pend
-        good_w[pending] = good_pend
+        a_w[pending], good_w[pending] = residue_traces(fam, p, ws[pending])
     good = good_w[where]
     a = a_w[where[good]]
     if cache is not None and a.size:

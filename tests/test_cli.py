@@ -11,6 +11,7 @@ from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import HealthCheck, given, settings, strategies as st
 
 from stlab.cli import COMMANDS, emit_histogram, run
 from stlab.sato_tate import AngleSample
@@ -361,6 +362,15 @@ def test_angles_csv_and_svg(tmp_path, capsys):
     assert body.startswith("<svg") and "polyline" in body
 
 
+@pytest.mark.parametrize("flag", ["--csv", "--svg"])
+def test_angles_output_in_missing_dir_exit_1(flag, tmp_path, capsys):
+    path = tmp_path / "missing" / "out"
+    code = run(["angles", *FAM, "-p", "101", flag, str(path)])
+    captured = capsys.readouterr()
+    assert (code, captured.out) == (1, "")
+    assert captured.err == f"error: {path}: cannot write: No such file or directory\n"
+
+
 def test_angles_subgroup_kind(capsys):
     code, out = run_json(capsys, [
         "angles", "--f", "0,1", "--g", "0,1", "-p", "101", "--kind", "subgroup",
@@ -467,6 +477,13 @@ REPORT_CASES = {
                           "--subgroup-r", "25"]],
     "charsum-sampled": [["verify", "charsum", *FAM, "-p", "101", "--n-max", "3",
                          "--mode", "sampled", "--seed", "7", "--count", "10"]],
+    # recorded at commit 2002549, before sampled mode formed each character once
+    "charsum-sampled-10007": [["verify", "charsum", "--f", "1,2", "--g", "3,0,1", "-p", "10007",
+                               "--n-max", "15", "--mode", "sampled", "--seed", "3",
+                               "--count", "100"]],
+    "charsum-sampled-subgroup": [["verify", "charsum", *FAM, "-p", "1009", "--n-max", "3",
+                                  "--mode", "sampled", "--seed", "7", "--count", "10",
+                                  "--subgroup-r", "252"]],
     "vertical-subgroup": [["experiment", "vertical-subgroup", *FAM, "-p", "101", "-r", "50",
                            "--alpha", "0.5", "--beta", "2.5"]],
     "vertical-product": [["experiment", "vertical-product", *FAM, "-p", "101",
@@ -511,6 +528,12 @@ REPORT_DIGESTS = {
     ],
     "charsum-sampled": [
         "e15ca3465094008b2f7b6670e31bce97e77c53c8a3d46b4f61e2b1da772ca215",
+    ],
+    "charsum-sampled-10007": [
+        "8d3d70d74a0388efb233801c2459cc483952d97ea96e89d1684aa7199549f3a5",
+    ],
+    "charsum-sampled-subgroup": [
+        "d0ce93f6e9036542951c94333f87747c97cdf28562c42e9746b3eff1702b04f5",
     ],
     "charsum-subgroup": [
         "3bd868c3e85f685971cdd0742b4073e19380fa5510d46ef214fc2a58931fbede",
@@ -1025,3 +1048,178 @@ def test_bad_set_names_its_flag(command, flag, text, capsys):
     assert captured.out == ""
     assert captured.err == (f"error: bad {flag} {text!r}; expected lo..hi or "
                             "comma-separated integers\n")
+
+
+def _no_constant(name):
+    raise AssertionError(f"{name} is not JSON")
+
+
+# order_sum adds 1 / r**alpha over orders 1 <= r < x: with (|alpha| + 1) log x
+# above log(float max) a term or the total could overflow or reach zero, so
+# such an alpha, and nan and +-inf, is refused before the sieve; at x = 50
+# that is |alpha| > 180.4
+@pytest.mark.parametrize("alpha", ["-inf", "-1000", "-700", "-181", "181", "1e308", "nan",
+                                   "inf"])
+def test_orders_alpha_out_of_float_range_exit_1(alpha, monkeypatch, capsys):
+    def no_sieve(*args, **kwargs):
+        raise AssertionError("the sieve ran")
+
+    monkeypatch.setattr("stlab.param_sets._least_prime_factors", no_sieve)
+    code = run(["sums", "orders", "-x", "50", "--lam", "2", f"--alpha-exp={alpha}"])
+    captured = capsys.readouterr()
+    assert (code, captured.out) == (1, "")
+    assert captured.err == (f"error: alpha={float(alpha)} takes 1 / ord**alpha out of the "
+                            "float range at x=50\n")
+
+
+@pytest.mark.parametrize("alpha", ["-180", "180", "0.5", "1"])
+def test_orders_alpha_in_float_range_runs(alpha, capsys):
+    code = run(["sums", "orders", "-x", "50", "--lam", "2", f"--alpha-exp={alpha}"])
+    out = json.loads(capsys.readouterr().out, parse_constant=_no_constant)
+    assert code == 0
+    assert 0.0 < out["order_sum"] < math.inf
+
+
+# mixed-geometric --cache charges each row 48 bytes while every lam^t fits
+# int64 and 290 bytes plus 2.5 per byte of the row otherwise, over at most
+# 1.25506 x / log x primes, against a 0.4 GB budget (the CACHE_BUDGET comment)
+@pytest.mark.parametrize("x, lam, T, need", [
+    ("100000", "2", "300", "1.5"), ("30000", "2", "300", "0.48"), ("2000000", "2", "60", "0.5"),
+], ids=["exact-rows", "exact-rows-at-3e4", "int64-rows"])
+def test_mixed_geometric_cache_past_the_budget_exit_3(x, lam, T, need, tmp_path, monkeypatch,
+                                                     capsys):
+    def no_work(*args, **kwargs):
+        raise AssertionError("a sieve or a trace ran before the refusal")
+
+    for name in ("stlab.experiments.batch_traces", "stlab.experiments.primes_upto",
+                 "stlab.experiments.order_sum"):
+        monkeypatch.setattr(name, no_work)
+    monkeypatch.delenv("STLAB_CACHE", raising=False)
+    cache = tmp_path / "c.txt"
+    code = run(["experiment", "mixed-geometric", *FAM, "-x", x, "--lam", lam, "-T", T,
+                "--cache", str(cache)])
+    captured = capsys.readouterr()
+    assert (code, captured.out) == (3, "")
+    assert captured.err == (f"refused: cache rows of T={T} powers of a 2-bit lambda at x={x} "
+                            f"need about {need} GB, above the 0.4 GB budget\n")
+    assert not cache.exists()
+
+
+@pytest.mark.parametrize("argv", [
+    ["-x", "1000000", "--lam", "2", "-T", "60", "--cache", "c.txt"],  # charged 0.26 GB
+    ["-x", "100000", "--lam", "2", "-T", "300"],  # no cache, no charge
+], ids=["int64-rows", "no-cache"])
+def test_mixed_geometric_cache_within_the_budget_reaches_the_run(argv, tmp_path, monkeypatch,
+                                                                  capsys):
+    monkeypatch.chdir(tmp_path)
+    monkeypatch.delenv("STLAB_CACHE", raising=False)
+    _refused_or_reached(["experiment", "mixed-geometric", *FAM, *argv], None,
+                        ["stlab.experiments.order_sum", "stlab.experiments._run_mixed"],
+                        monkeypatch, capsys)
+
+
+def test_mixed_geometric_cache_at_a_moderate_size_runs(tmp_path, monkeypatch, capsys):
+    # rows past int64 (2^63 and up), read back by the exact line parser
+    monkeypatch.chdir(tmp_path)
+    monkeypatch.delenv("STLAB_CACHE", raising=False)
+    argv = ["experiment", "mixed-geometric", *FAM, "-x", "1000", "--lam", "2", "-T", "300",
+            "--cache", "c.txt"]
+    code, cold = run_json(capsys, argv)
+    assert code == 0
+    code, warm = run_json(capsys, argv)
+    assert code == 0
+    assert strip_runtime(cold) == strip_runtime(warm)
+    # a row for each good parameter at each of the 166 primes from 5 to 997
+    rows = 166 * 300 - cold["detail"]["skipped_params"]
+    assert (tmp_path / "c.txt").read_text().count("\n") == 1 + rows
+
+
+# SYM_WORK_LIMIT = 2**32 units: n recurrence steps of values + 1024 units each,
+# the values p = 101 for vaughan and mobius and L = 300 for prime-sym
+@pytest.mark.parametrize("kind, builder, values, last", [
+    ("vaughan", "sieve_arith", 101, 3817748), ("mobius", "sieve_arith", 101, 3817748),
+    ("prime-sym", "prime_array", 300, 3243933),
+])
+@pytest.mark.parametrize("refused", [False, True], ids=["at", "past"])
+def test_sym_degree_work_above_limit_refused_before_any_sieve(kind, builder, values, last,
+                                                              refused, monkeypatch, capsys):
+    n = last + refused
+    refusal = (f"sym degree n={n} over {values} values is {n * (values + 1024)} work units, "
+               "above the 4294967296 limit") if refused else None
+    _refused_or_reached(["sums", kind, *FAM, "-p", "101", "-L", "300", "-n", str(n)], refusal,
+                        [f"stlab.experiments.{builder}"], monkeypatch, capsys)
+
+
+# The argv grammar of the fuzz test: every command with each of its flags
+# present or not, each value small, at a boundary, negative or past int64,
+# and one value in ten malformed.  The sizes stay small, so each run takes
+# milliseconds; huge sizes are only ever refused (the refusal tests above
+# patch the allocators to check that).
+FUZZ_VALUES = {  # (well-formed, malformed) by kind of flag
+    int: (["-1", "0", "1", "2", "3", "4", "5", "7", "13", "101", str(2**63),
+           str(-2**63 - 1), "1" + "0" * 30], ["", "x", "nan", "inf", "1.5"]),
+    float: (["0", "0.5", "1", "2.5", "3.2", "-1", "nan", "inf", "-inf", "1e308", "1e-320"],
+            ["", "x", "1,2"]),
+    "coeffs": (["0,1", "1,2", "3,0,1", "-4,-6,-5", "1", "0", "0,0", f"{2**63},1"],
+               ["", "x", "1,,2", "1.5"]),
+    "set": (["1..5", "2..4", "1..0", "-3..3", "1,2,7", "0", str(2**63)], ["", "x", "1..", "..3"]),
+}
+
+
+@st.composite
+def fuzz_argv(draw, folder):
+    words = draw(st.sampled_from(sorted(COMMANDS)))
+    argv = words.split()
+    for flags, kwargs in COMMANDS[words][0]:
+        # a required flag is left out one time in 20 (hypothesis favours the
+        # ends of a range, so 7 stands for "rarely")
+        present = (draw(st.integers(0, 19)) != 7 if kwargs.get("required")
+                   else draw(st.booleans()))
+        if not present:
+            continue
+        flag = flags[-1]
+        if "choices" in kwargs:
+            pool = ([*kwargs["choices"]], ["bad"])
+        elif "type" in kwargs:
+            pool = FUZZ_VALUES[kwargs["type"]]
+        elif flag in ("--f", "--g"):
+            pool = FUZZ_VALUES["coeffs"]
+        elif flag in ("--set-u", "--set-v"):
+            pool = FUZZ_VALUES["set"]
+        else:  # --cache, --csv and --svg
+            pool = ([str(folder / "out")], [str(folder / "missing" / "out"), ""])
+        value = draw(st.sampled_from(pool[draw(st.integers(0, 9)) == 7]))
+        argv.append(f"{flag}={value}")
+    return words, argv
+
+
+def test_cli_fuzz(tmp_path, monkeypatch, capsys):
+    # every argv exits 0-4: 0 with one JSON object (no NaN or Infinity) on
+    # stdout, as does `family check` with 2 for a failed check, and any other
+    # exit with one stderr line and no traceback, apart from argparse's own
+    # usage errors (a usage line and an error line)
+    monkeypatch.delenv("STLAB_CACHE", raising=False)
+    monkeypatch.setenv("COLUMNS", "10000")  # argparse's usage on one line
+
+    @settings(max_examples=1000, derandomize=True,
+              suppress_health_check=[HealthCheck.function_scoped_fixture])
+    @given(fuzz_argv(tmp_path))
+    def check(case):
+        words, argv = case
+        code = run(argv)
+        out, err = capsys.readouterr()
+        assert 0 <= code <= 4, (argv, err)
+        if code == 0 or (words, code) == ("family check", 2):
+            assert err == "", argv
+            assert out.count("\n") == 1 and out.endswith("\n"), argv
+            assert isinstance(json.loads(out, parse_constant=_no_constant), dict), argv
+            return
+        assert out == "", argv
+        assert "Traceback" not in err, argv
+        lines = err.splitlines(keepends=True)
+        if lines[0].startswith(f"usage: stlab {words} "):
+            assert len(lines) == 2 and lines[1].startswith(f"stlab {words}: error: "), argv
+        else:
+            assert len(lines) == 1 and err.endswith("\n"), argv
+
+    check()

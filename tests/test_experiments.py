@@ -364,6 +364,30 @@ def test_charsum_sampled_mode_deterministic(fam_zz):
     assert "sampled(seed=11,count=20)" == a[0].mode
 
 
+def test_charsum_sampled_forms_each_character_once(fam_zz, monkeypatch):
+    # one exponential per sampled character, however many degrees n
+    calls = []
+    exp = np.exp
+
+    def counted(*args, **kwargs):
+        calls.append(args)
+        return exp(*args, **kwargs)
+
+    monkeypatch.setattr(np, "exp", counted)
+    ex.charsum_verify(fam_zz, 101, 3, mode="sampled", seed=7, count=10)
+    assert len(calls) == 10
+
+
+def test_charsum_sampled_names_the_first_maximal_character(fam_zz):
+    # the period is r = 4, so the 30 draws from [0, 100) repeat each character,
+    # and draws of one class give bit-identical sums: the least of them is named
+    r, draws = 4, np.random.default_rng(5).integers(0, 100, size=30)
+    for rep in ex.charsum_verify(fam_zz, 101, 3, mode="sampled", seed=5, count=30,
+                                 subgroup_r=r):
+        s = rep.worst_character_index
+        assert s == min(d for d in draws.tolist() if d % r == s % r)
+
+
 def test_charsum_sampled_mode_needs_a_seed(fam_zz, monkeypatch, capsys):
     # refused before the residue table, in the library and on the command line
     def no_table(*args):
