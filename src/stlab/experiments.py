@@ -12,6 +12,7 @@ violation is treated as an implementation bug.
 from __future__ import annotations
 
 import math
+import sys
 from dataclasses import dataclass
 
 import numpy as np
@@ -396,6 +397,13 @@ def mixed_geometric(fam: FamilyPoly, x: int, lam: int, T: int, iv: Interval,
             raise RefusedError(f"cache rows of T={T} powers of a {abs(lam).bit_length()}-bit "
                                f"lambda at x={x} need about {need / 1e9:.2g} GB, above the "
                                f"{CACHE_BUDGET / 1e9:g} GB budget")
+        # each t goes to the file and back as decimal text, which Python
+        # refuses past sys.get_int_max_str_digits() digits (0: no limit);
+        # lam^T has more exactly when |lam|^T >= 10^limit
+        limit = sys.get_int_max_str_digits()
+        if limit and T * math.log10(abs(lam)) > limit - 1 and abs(lam) ** T >= 10**limit:
+            raise RefusedError(f"cache rows of T={T} powers of lambda={lam} pass the {limit}-digit "
+                               f"limit of Python's int-to-text conversion")
     d = erdos_delta()
     return _run_mixed(fam, x, [lam**t for t in range(1, T + 1)], [1] * T, iv,
                       f"mixed-geom:x={x}:lambda={lam}:T={T}",

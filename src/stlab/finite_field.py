@@ -19,10 +19,11 @@ from .errors import RefusedError
 # all of them (Sorenson-Webster).  The first 12 alone pass the composite
 # psi_12 = 318,665,857,834,031,151,167,461 = 399165290221 * 798330580441.
 _MR_WITNESSES = (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37, 41)
+PSI_13 = 3_317_044_064_679_887_385_961_981  # = 1287836182261 * 2575672364521
 
 # Every trace path builds a ResidueTable first, so this one cap refuses a prime
 # before any O(p) array exists.  Tracing at one prime peaks at about 46 bytes
-# per unit of p when its rows are read by dots (four residues) and at about
+# per unit of p when its row is read by dots (four residues) and at about
 # 178 when every residue is asked for (an FFT twist row), over the
 # interpreter's own (ru_maxrss of `angles` at p = 1000003 and 2000003); at
 # 2**23 that is 0.39 and 1.5 GB.  Of the 178, about 116 are numpy's arrays
@@ -85,9 +86,12 @@ def factor(n: int) -> list[tuple[int, int]]:
 
 def require_prime_above_3(p: int) -> None:
     """Raise ValueError unless p is an odd prime, then unless p > 3 (where
-    y^2 = x^3 + ax + b is a general model of an elliptic curve)."""
+    y^2 = x^3 + ax + b is a general model of an elliptic curve).  From
+    PSI_13 on, is_prime proves nothing, so a p that passes it is refused."""
     if p <= 2 or not is_prime(p):
         raise ValueError(f"{p} is not an odd prime")
+    if p >= PSI_13:
+        raise RefusedError(f"p={p}: primality is not proven above {PSI_13}")
     if p == 3:
         raise ValueError("requires p > 3")
 

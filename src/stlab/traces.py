@@ -1,9 +1,10 @@
 """Frobenius traces and angles, with batch amortization per prime.
 
-The production path reads per-prime trace rows, each a correlation of a
-weight vector with the Legendre symbol chi, computed by exact dot products at
+The production path reads one trace row per prime, a correlation of the
+twist weights with the Legendre symbol chi, computed by exact dot products at
 the few shifts a sparse row needs or by one FFT for a dense row; every curve
-then costs one table lookup (see residue_traces).  trace() is the direct
+then costs one table lookup, and the j = 0 and j = 1728 curves one closed sum
+per isomorphism class (see _table_traces).  trace() is the direct
 Legendre sum a = -sum_x chi(x^3+ax+b), O(p) per curve, and count_points_naive
 is the independent oracle: it enumerates squares directly and never touches
 the Legendre machinery.
@@ -73,8 +74,9 @@ def _dot_row(weights, chi2, shifts, p: int) -> np.ndarray:
     chi2 is chi followed by chi[:-1] (length 2p - 1) as float32, so the slice
     holds chi(y + s mod p).  The weights are integers and chi is -1, 0 or 1,
     so while sum |weights| < 2**24 every partial sum is an integer below 2**24
-    and the float32 dot product is exact in any summation order.  Each row of
-    _table_traces has sum |weights| <= p <= 2**23; the bound is checked here.
+    and the float32 dot product is exact in any summation order.  The twist
+    row of _table_traces has sum |M| <= p - 1 < 2**23; the bound is checked
+    here.
     """
     total = float(np.abs(weights).sum())
     if not total < 2**24:
@@ -88,118 +90,107 @@ def _few_shifts(k: int, p: int) -> bool:
 
     Fitted on 2 vCPUs (numpy 2.4.6) for 31 <= p <= 10**6: a float32 dot of
     length p takes about 1.5 us + p / 4 ns, and an FFT row about 40 us +
-    10 p log2(p) ns, counting the transform of chi it needs (a sparse row is
-    nearly always the only row at its prime).
+    10 p log2(p) ns, counting the transform of chi it needs (the twist row is
+    the only row at its prime).
     """
     return k * (1500 + p / 4) < 40_000 + 10 * p * p.bit_length()
 
 
 def _table_traces(tbl: ResidueTable, a_arr, b_arr) -> np.ndarray:
-    """-sum_x chi(x^3 + a x + b) for each (a, b) in [0, p)^2, from at most
-    three rows.
+    """-sum_x chi(x^3 + a x + b) for each nonsingular (a, b) in [0, p)^2, from
+    one row and a closed sum per class of j = 0 and j = 1728 curves.
 
-    - a = 0: T0[b] = -sum_y N[y] chi(y + b), N[y] = #{x : x^3 = y}.
-    - b = 0: T1728[a] = -sum_y M2[y] chi(y + a), M2[y] = sum_{x^2 = y} chi(x).
-    - otherwise (s, s) with s = a^3 / b^2 is the twist of (a, b) by c = a/b
+    - a b != 0: (s, s) with s = a^3 / b^2 is the twist of (a, b) by c = a/b
       (x -> c x multiplies the cubic by c^3), so the trace is chi(a b) T[s].
       x = w - 1 turns x^3 + s x + s into w ((w-1)^3 / w + s), hence
       T[s] = -chi(-1) - sum_y M[y] chi(y + s), M[y] = sum_{(w-1)^3/w = y} chi(w).
+    - a = 0 or b = 0: (x, y) -> (u^2 x, u^3 y) keeps the trace of x^3 + b as
+      b moves by a sixth power and of x^3 + a x as a moves by a fourth power,
+      so each class g^i (i mod 6, or i mod 4) takes one sum over the class
+      representative g^i.  For x^3 + b it is 0 when 3 does not divide p - 1
+      (x -> x^3 is a bijection), else -chi(b) - 3 sum_c chi(c + b) over the
+      cubes c = pw[::3].  For x^3 + a x it is 0 when p = 3 mod 4 (x and -x
+      cancel), else, as chi(g^z) = (-1)^z,
+      -2 sum_{z < (p-1)/2} (-1)^z chi(g^(2z) + a).
 
-    The weights are built over w = g^z from the power table pw, with no
-    product mod p and one reduction mod p in all; with h = (p - 1) / 2,
-    - the cubes g^(3z) are pw[::3], each hit three times, when 3 | p - 1, and
-      all of F_p^* once otherwise;
-    - g^k and g^(k+h) are the roots of g^(2k) = pw[2k];
-    - (w-1)^3 / w = w^2 - 3 w + 3 - 1/w, with w^2 = pw[2z mod (p-1)] and
-      1/w = pw[-z mod (p-1)].
-    chi(w) is read from leg, the table every other trace path reads.
+    The twist weights are built over w = g^z from the power table pw, with
+    no product mod p and one reduction mod p in all: (w-1)^3 / w =
+    w^2 - 3 w + 3 - 1/w, with w^2 = pw[2z mod (p-1)] and 1/w = pw[-z mod
+    (p-1)].  chi(w) is read from leg, the table every other trace path reads.
+    The row c[s] = sum_y M[y] chi(y + s) is read at few distinct shifts as
+    exact dot products (_dot_row), and otherwise as one FFT correlation
+    (_correlate); a call whose curves all have j = 0 or 1728 builds no row.
 
-    Only the rows some curve uses are built.  Each row is a correlation
-    c[s] = sum_y W[y] chi(y + s); a row asked for few distinct shifts reads
-    them as exact dot products (_dot_row), any other row is one FFT
-    correlation (_correlate), and chi's transform is built only for those.
-
-    A full-field call holds each O(p) array once: its residues, a b, the
-    inverse table and 1/b go as soon as the shift s and the sign chi(a b)
-    exist, chi's float32 copy goes before an FFT row, and the output is
-    allocated only after the rows are read.
+    A full-field call holds each O(p) array once: the class labels go before
+    the row exists, its residues, a b, the inverse table and 1/b go as soon
+    as the shift s and the sign chi(a b) exist, chi's float32 copy exists
+    only on the dot route, and the output is allocated only after the row is
+    read.
     """
     p, leg, pw = tbl.p, tbl.leg, tbl.pw
-    chi2 = chi_hat = None
-
-    def read(weights, shifts):
-        nonlocal chi2, chi_hat
-        need = np.zeros(p, dtype=bool)
-        need[shifts] = True
-        if _few_shifts(np.count_nonzero(need), p):
-            uniq = np.flatnonzero(need)
-            del need
-            if chi2 is None:
-                chi2 = np.concatenate((leg, leg[:-1])).astype(np.float32)
-            c = np.zeros(p, dtype=np.int64)
-            c[uniq] = _dot_row(weights, chi2, uniq, p)
-        else:
-            del need
-            chi2 = None
-            if chi_hat is None:
-                chi_hat = _chi_hat(leg, p)
-            c = _correlate(weights, *chi_hat, p)
-        return c[shifts]
-
-    chi_w = leg[pw]  # chi(g^z)
-    parts = []  # (where, traces) per row, written to the output last
     ab = a_arr * b_arr % p
-    rest = ab != 0
-    if rest.all():
-        rest = slice(None)  # no j = 0 or j = 1728 curve: skip the masks
-    else:
-        j0 = a_arr == 0
-        j1728 = (b_arr == 0) & ~j0
-        if j0.any():
-            n0 = np.zeros(p, dtype=np.int64)
-            if (p - 1) % 3:
-                n0[1:] = 1
+    special = np.flatnonzero(ab == 0)
+    if special.size:  # j = 0 or j = 1728
+        j0 = a_arr[special] == 0
+        k = math.gcd(12, p - 1)
+        coset = np.empty(p, dtype=np.int8)  # coset[g^i] = i mod k; 0 is never read
+        coset[pw.reshape(-1, k)] = np.arange(k, dtype=np.int8)
+        idx = coset[np.where(j0, b_arr[special], a_arr[special])]
+        del coset
+        keys, where = np.unique(np.where(j0, idx % 6, 6 + idx % 4), return_inverse=True)
+        sums = []
+        for key in keys.tolist():
+            if key < 6 and (p - 1) % 3 == 0:  # x^3 + b, b = g^key
+                b = int(pw[key])
+                sums.append(-int(leg[b]) - 3 * int(leg[_mod_inplace(pw[::3] + b, p)].sum()))
+            elif key >= 6 and (p - 1) % 4 == 0:  # x^3 + a x, a = g^(key - 6)
+                chi = leg[_mod_inplace(pw[::2] + int(pw[key - 6]), p)]
+                sums.append(2 * (int(chi[1::2].sum()) - int(chi[::2].sum())))
             else:
-                n0[pw[::3]] = 3
-            n0[0] = 1
-            parts.append((j0, -read(n0, b_arr[j0])))
-            del n0
-        if j1728.any():
-            h = (p - 1) // 2
-            m2 = np.zeros(p)
-            m2[pw[::2]] = chi_w[:h] + chi_w[h:]
-            parts.append((j1728, -read(m2, a_arr[j1728])))
-            del m2
-        ab = ab[rest]
-    if ab.size:
-        a, b = a_arr[rest], b_arr[rest]
-        sign = leg[ab]  # chi(a b)
-        del ab
-        inv = np.zeros(p, dtype=np.int64)
-        inv[pw[1:]] = pw[:0:-1]  # 1/g^z = g^(p-1-z)
-        inv[1] = 1
-        ib = inv[b]
-        del inv, b
-        ib *= ib
-        s = a * a % p * a % p * _mod_inplace(ib, p)
-        del a, ib
-        _mod_inplace(s, p)
-        y = np.tile(pw[::2] + 3, 2)
-        y -= 3 * pw
-        y[0] -= 1
-        y[1:] -= pw[:0:-1]
-        m = np.bincount(_mod_inplace(y, p), weights=chi_w, minlength=p)
-        del y, chi_w
-        twist = read(m, s)
-        del m, s
-        np.subtract(-int(leg[p - 1]), twist, out=twist)
-        twist *= sign
-        if not parts:
-            return twist
-        parts.append((rest, twist))
-    out = np.empty(len(a_arr), dtype=np.int64)
-    for where, traces in parts:
-        out[where] = traces
+                sums.append(0)
+        special_traces = np.array(sums, dtype=np.int64)[where]
+        if special.size == ab.size:
+            return special_traces
+        del j0, idx, keys, where
+        rest = ab != 0
+        a_arr, b_arr, ab = a_arr[rest], b_arr[rest], ab[rest]
+    sign = leg[ab]  # chi(a b)
+    del ab
+    inv = np.zeros(p, dtype=np.int64)
+    inv[pw[1:]] = pw[:0:-1]  # 1/g^z = g^(p-1-z)
+    inv[1] = 1
+    ib = inv[b_arr]
+    del inv, b_arr
+    ib *= ib
+    s = a_arr * a_arr % p * a_arr % p * _mod_inplace(ib, p)
+    del a_arr, ib
+    _mod_inplace(s, p)
+    y = np.tile(pw[::2] + 3, 2)
+    y -= 3 * pw
+    y[0] -= 1
+    y[1:] -= pw[:0:-1]
+    m = np.bincount(_mod_inplace(y, p), weights=leg[pw], minlength=p)
+    del y
+    need = np.zeros(p, dtype=bool)
+    need[s] = True
+    if _few_shifts(np.count_nonzero(need), p):
+        uniq = np.flatnonzero(need)
+        del need
+        c = np.zeros(p, dtype=np.int64)
+        c[uniq] = _dot_row(m, np.concatenate((leg, leg[:-1])).astype(np.float32), uniq, p)
+    else:
+        del need
+        c = _correlate(m, *_chi_hat(leg, p), p)
+    del m
+    twist = c[s]
+    del c, s
+    np.subtract(-int(leg[p - 1]), twist, out=twist)
+    twist *= sign
+    if not special.size:
+        return twist
+    out = np.empty(special.size + twist.size, dtype=np.int64)
+    out[special] = special_traces
+    out[rest] = twist
     return out
 
 

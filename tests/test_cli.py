@@ -454,6 +454,7 @@ def test_mixed_threads_below_one_exit_1(capsys, threads):
 
 
 FAM = ["--f", "0,1", "--g", "0,1"]
+FAM_ZM1 = ["--f=0,1", "--g=-1,1"]
 MIXED_CACHE = ["experiment", "mixed-product", *FAM, "-x", "60", "--set-u", "1..4",
                "--set-v", "2..5", "--alpha", "0.5", "--beta", "2.5", "--cache", "c.txt"]
 
@@ -498,6 +499,18 @@ REPORT_CASES = {
     "sums-prime-sym": [["sums", "prime-sym", *FAM, "-p", "101", "-L", "300", "-n", "2"]],
     "sums-orders": [["sums", "orders", "-x", "50", "--lam", "2", "--window-y", "3"]],
     "cache-stats": [MIXED_CACHE, ["cache", "stats", "--cache", "c.txt", *FAM]],
+    # f = Z, g = Z - 1 has a j = 0 curve (t = 0) and a j = 1728 curve (t = 1)
+    # at every prime, and g = 10009 (1 + Z) makes every good curve at 10009
+    # j = 1728; recorded at commit 256e179, while the trace rows still held a
+    # row for the cubes and a row for the squares
+    "zm1-angles-full": [["angles", *FAM_ZM1, "-p", "10009", "--kind", "full"]],
+    "zm1-mixed-product": [["experiment", "mixed-product", *FAM_ZM1, "-x", "2000",
+                           "--set-u", "1..20", "--set-v", "0..19"]],
+    "zm1-mixed-geometric": [["experiment", "mixed-geometric", *FAM_ZM1, "-x", "3000",
+                             "--lam", "2", "-T", "40"]],
+    "zm1-charsum-exhaustive": [["verify", "charsum", *FAM_ZM1, "-p", "1009", "--n-max", "4"]],
+    "j1728-angles-full": [["angles", "--f=0,1", "--g=10009,10009", "-p", "10009",
+                           "--kind", "full"]],
 }
 
 REPORT_DIGESTS = {
@@ -541,6 +554,9 @@ REPORT_DIGESTS = {
     "family-check": [
         "908caba04d5136ba85f2ff77771a029e76d5df86eaf8ca77aed7da0735c24037",
     ],
+    "j1728-angles-full": [
+        "060dd227e48bc8b7e4abdcf34d6ec5499a5aeecb0f7306663f4bbcc35ec660b5",
+    ],
     "mixed-geometric": [
         "392ca8abec320680f3a5ae383a390ca283b8b2e40419da2c1248e4fd5ce863b3",
     ],
@@ -574,6 +590,18 @@ REPORT_DIGESTS = {
     ],
     "vertical-subgroup": [
         "72189bde1379e32b9b88a8cb2bae0bbe3c38b29b5c0e810920c77554eea022bf",
+    ],
+    "zm1-angles-full": [
+        "74b7e94f38dc75d151d61cffc4ec9a744bc8b6b066f020accb2d64a85af63765",
+    ],
+    "zm1-charsum-exhaustive": [
+        "43490a5136d5c413813b64dbd0fbe42eaa6e7260ee226575d1089307f48c1301",
+    ],
+    "zm1-mixed-geometric": [
+        "a470bbc4a977609f7af27154d732770426d40d89cee71459ec5416bacfbdffbf",
+    ],
+    "zm1-mixed-product": [
+        "0cb7edde706a3b4db1570caec005dc0276081180c5732116ec7151666caff359",
     ],
 }
 
@@ -789,6 +817,24 @@ def test_one_message_for_a_bad_prime(words, p, capsys):
     assert captured.out == ""
     assert captured.err == ("error: requires p > 3\n" if p == "3" else
                             f"error: {p} is not an odd prime\n")
+
+
+# psi_13 = 1287836182261 * 2575672364521 passes Miller-Rabin to every base
+# 2..41, and 2**89 - 1 is a prime past it: is_prime is proven below psi_13
+# only, so both are refused, before any residue table
+@pytest.mark.parametrize("p", ["3317044064679887385961981", str(2**89 - 1)],
+                         ids=["psi13", "mersenne89"])
+@pytest.mark.parametrize("extra", [["trace", "-t", "1"], ["angles"]], ids=["trace", "angles"])
+def test_prime_past_the_proven_bound_exit_3(extra, p, monkeypatch, capsys):
+    def no_table(*args, **kwargs):
+        raise AssertionError("a residue table was built")
+
+    monkeypatch.setattr("stlab.finite_field.ResidueTable.build", no_table)
+    code = run([extra[0], *FAM, "-p", p, *extra[1:]])
+    captured = capsys.readouterr()
+    assert (code, captured.out) == (3, "")
+    assert captured.err == (f"refused: p={p}: primality is not proven above "
+                            "3317044064679887385961981\n")
 
 
 @pytest.mark.parametrize("argv", [
@@ -1132,6 +1178,38 @@ def test_mixed_geometric_cache_at_a_moderate_size_runs(tmp_path, monkeypatch, ca
     # a row for each good parameter at each of the 166 primes from 5 to 997
     rows = 166 * 300 - cold["detail"]["skipped_params"]
     assert (tmp_path / "c.txt").read_text().count("\n") == 1 + rows
+
+
+def test_mixed_geometric_cache_past_the_text_digit_limit_exit_3(tmp_path, monkeypatch, capsys):
+    # the cache holds each lam^t as decimal text, which Python converts only
+    # up to sys.get_int_max_str_digits() digits: 2**2200 has 663 digits and
+    # 2**2000 has 603, against a limit of 640
+    def no_work(*args, **kwargs):
+        raise AssertionError("a sieve or a trace ran before the refusal")
+
+    monkeypatch.chdir(tmp_path)
+    monkeypatch.delenv("STLAB_CACHE", raising=False)
+    argv = ["experiment", "mixed-geometric", *FAM, "-x", "5", "--lam", "2", "--cache", "c.txt"]
+    limit = sys.get_int_max_str_digits()
+    sys.set_int_max_str_digits(640)
+    try:
+        with monkeypatch.context() as m:
+            for name in ("stlab.experiments.batch_traces", "stlab.experiments.primes_upto",
+                         "stlab.experiments.order_sum"):
+                m.setattr(name, no_work)
+            code = run([*argv, "-T", "2200"])
+            captured = capsys.readouterr()
+            assert (code, captured.out) == (3, "")
+            assert captured.err == ("refused: cache rows of T=2200 powers of lambda=2 pass the "
+                                    "640-digit limit of Python's int-to-text conversion\n")
+            assert not (tmp_path / "c.txt").exists()
+        code, cold = run_json(capsys, [*argv, "-T", "2000"])
+        assert code == 0
+        code, warm = run_json(capsys, [*argv, "-T", "2000"])
+        assert code == 0
+        assert strip_runtime(cold) == strip_runtime(warm)
+    finally:
+        sys.set_int_max_str_digits(limit)
 
 
 # SYM_WORK_LIMIT = 2**32 units: n recurrence steps of values + 1024 units each,

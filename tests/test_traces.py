@@ -199,28 +199,30 @@ def test_every_private_module_name_is_read_in_src():
 
 
 def _rows_by_enumeration(p):
-    """The weights N, M2, M of the three j-class rows (see _table_traces),
-    each with the curve whose trace reads -c[s] (plus -chi(-1) on the twist
-    row) and the shifts s where that curve is nonsingular."""
+    """The twist weights M (see _table_traces), with the shift -chi(-1) the
+    trace of (s, s) adds to -c[s] and the s where (s, s) is nonsingular."""
     chi = [0] + [1 if pow(x, (p - 1) // 2, p) == 1 else -1 for x in range(1, p)]
-    n0, m2, m = np.zeros(p), np.zeros(p), np.zeros(p)
-    for x in range(p):
-        n0[x ** 3 % p] += 1
-        m2[x * x % p] += chi[x]
+    m = np.zeros(p)
     for w in range(1, p):
         m[(w - 1) ** 3 * pow(w, -1, p) % p] += chi[w]
-    return [(n0, 0, lambda s: (0, s), range(1, p)),
-            (m2, 0, lambda s: (s, 0), range(1, p)),
-            (m, -chi[p - 1], lambda s: (s, s), [s for s in range(1, p) if (4 * s + 27) % p])]
+    return m, -chi[p - 1], [s for s in range(1, p) if (4 * s + 27) % p]
+
+
+def test_small_primes_cover_every_class_mod_12():
+    # j = 0 curves fall in six classes only when p = 1 mod 3, and j = 1728
+    # curves in four only when p = 1 mod 4, so the exhaustive oracle needs
+    # every class of p mod 12; 13 and 37 are the two primes = 1 mod 12
+    assert {p % 12 for p in PRIMES_TO_43} == {1, 5, 7, 11}
+    assert [p for p in PRIMES_TO_43 if p % 12 == 1] == [13, 37]
 
 
 @pytest.mark.parametrize("p", PRIMES_TO_43)
 def test_table_traces_exhaustive_small_primes(p, monkeypatch):
-    # f = A, g = Z runs every residue through all three rows: A = 0 (j = 0),
+    # f = A, g = Z runs every residue through each path: A = 0 (j = 0),
     # w = 0 with A != 0 (j = 1728) and the twist row; half these primes have
     # chi(-1) = -1
     tbl = ResidueTable.build(p)
-    rows = _rows_by_enumeration(p)
+    m, shift, shifts = _rows_by_enumeration(p)
     built = []
     for name in ("_dot_row", "_correlate"):
         monkeypatch.setattr(traces, name, lambda weights, *args, read=getattr(traces, name):
@@ -231,28 +233,42 @@ def test_table_traces_exhaustive_small_primes(p, monkeypatch):
             c = CurveInstance(p, A, int(w))
             assert a_vec[w] == trace(c, tbl) == p + 1 - count_points_naive(c)
         assert good[1:].all() if A == 0 else good[0]
-    # the rows built from the power table are the enumerated weights; A = 0
-    # reads the j = 0 row, and every other A reads the two others
-    assert len(built) == 2 * p - 1
-    assert np.array_equal(built[0], rows[0][0])
-    for A in range(1, p):
-        assert np.array_equal(built[2 * A - 1], rows[1][0])
-        assert np.array_equal(built[2 * A], rows[2][0])
-    # sum |W| <= p, which keeps every float32 dot exact (_dot_row)
-    n0, m2, m = (weights for weights, *_ in rows)
-    assert n0.sum() == np.abs(n0).sum() == p
-    assert np.abs(m2).sum() <= p - 1 and np.abs(m).sum() <= p - 1
-    # every row, read at every shift by exact dots and by the FFT correlation
-    chi2 = np.concatenate((tbl.leg, tbl.leg[:-1])).astype(np.float32)
-    chi_hat = _chi_hat(tbl.leg, p)
-    for weights, shift, curve, shifts in rows:
-        by_dots = _dot_row(weights, chi2, np.arange(p), p)
-        by_fft = _correlate(weights, *chi_hat, p)
-        assert by_dots.dtype == by_fft.dtype == np.int64
-        for s in shifts:
-            c = CurveInstance(p, *curve(s))
-            assert shift - by_dots[s] == shift - by_fft[s] == trace(c, tbl) \
-                == p + 1 - count_points_naive(c)
+    # every A != 0 builds the twist row from the power table, which is the
+    # enumerated M; A = 0 (all j = 0) builds no row
+    assert len(built) == p - 1
+    for weights in built:
+        assert np.array_equal(weights, m)
+    # sum |M| <= p - 1, which keeps every float32 dot exact (_dot_row)
+    assert np.abs(m).sum() <= p - 1
+    # the row, read at every shift by exact dots and by the FFT correlation
+    by_dots = _dot_row(m, np.concatenate((tbl.leg, tbl.leg[:-1])).astype(np.float32),
+                       np.arange(p), p)
+    by_fft = _correlate(m, *_chi_hat(tbl.leg, p), p)
+    assert by_dots.dtype == by_fft.dtype == np.int64
+    for s in shifts:
+        c = CurveInstance(p, s, s)
+        assert shift - by_dots[s] == shift - by_fft[s] == trace(c, tbl) \
+            == p + 1 - count_points_naive(c)
+
+
+@pytest.mark.parametrize("fc, gc", [([0, 1], [10009, 10009]), ([0, 10009], [0, 1])],
+                         ids=["j1728", "j0"])
+def test_j0_and_j1728_fields_build_no_row(fc, gc, monkeypatch):
+    # at p = 10009 = 1 mod 12, g = 10009 (1 + Z) puts every good curve at
+    # j = 1728 and f = 10009 Z every one at j = 0, so each is traced by the
+    # closed sum of its class (four and six classes) and no row is built
+    p = 10009
+    tbl = ResidueTable.build(p)
+
+    def fail(*args, **kw):
+        raise AssertionError("a trace row was built")
+    monkeypatch.setattr(traces, "_dot_row", fail)
+    monkeypatch.setattr(traces, "_correlate", fail)
+    a_vec, good = residue_traces(build_family(fc, gc), p, range(p), tbl)
+    assert good.sum() == p - 1 and not good[0]
+    for t in np.random.default_rng(5).choice(np.arange(1, p), size=200, replace=False).tolist():
+        c = CurveInstance(p, 0, t) if fc == [0, 10009] else CurveInstance(p, t, 0)
+        assert a_vec[t] == trace(c, tbl)
 
 
 def test_dot_row_refuses_weights_past_float32_exactness():
@@ -267,16 +283,18 @@ def test_dot_row_refuses_weights_past_float32_exactness():
 
 
 def test_table_traces_at_a_large_prime():
-    # random (a, b) at p = 1000003, three with j = 0 and three with j = 1728
-    p = 1000003
-    tbl = ResidueTable.build(p)
-    rng = np.random.default_rng(11)
-    a = rng.integers(0, p, size=12)
-    b = rng.integers(0, p, size=12)
-    a[:3] = 0
-    b[3:6] = 0
-    got = _table_traces(tbl, a, b)
-    assert got.tolist() == [trace(CurveInstance(p, int(x), int(y)), tbl) for x, y in zip(a, b)]
+    # random (a, b), three with j = 0 and three with j = 1728, at a prime of
+    # each class mod 12 (7, 1, 5 and 11)
+    for p in (1000003, 1000033, 1000037, 1000151):
+        tbl = ResidueTable.build(p)
+        rng = np.random.default_rng(11)
+        a = rng.integers(0, p, size=12)
+        b = rng.integers(0, p, size=12)
+        a[:3] = 0
+        b[3:6] = 0
+        got = _table_traces(tbl, a, b)
+        assert got.tolist() == [trace(CurveInstance(p, int(x), int(y)), tbl)
+                                for x, y in zip(a, b)]
 
 
 @pytest.mark.parametrize("p", [20011, 100003])
